@@ -27,12 +27,14 @@
 #                     0.05/0.25/1.0, appended to BENCH_core.json with labels
 #   make coverage     statement-coverage gate: internal/sample and
 #                     internal/stats must each cover >= 85%
+#   make perfbench-test  the benchmark harness's own unit tests; perfbench is
+#                     a separate module, so the root `go test ./...` skips it
 
 GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke bench-paper bench-scale sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage
+.PHONY: tier1 tier2 lint bench bench-smoke bench-paper bench-scale sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage perfbench-test
 
 tier1:
 	$(GO) build ./...
@@ -135,3 +137,6 @@ coverage:
 		if [ "$$ok" != "1" ]; then echo "$$pkg coverage $$pct% < 85%"; rm -f .coverage.out; exit 1; fi; \
 	done
 	@rm -f .coverage.out
+
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) test .

@@ -95,7 +95,7 @@ type Cache struct {
 	hitLatency sim.Time
 	port       *sim.Port
 	clock      uint64
-	mshr       map[uint64]*miss
+	mshr       sim.Table[*miss] // in-flight miss groups by line address
 	missPool   sim.Pool[miss]
 	stats      Stats
 }
@@ -140,7 +140,6 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		port:       sim.NewPort(eng, cfg.PortInterval),
 		lines:      make([]line, lines),
 		numSets:    uint64(numSets),
-		mshr:       make(map[uint64]*miss),
 	}
 	c.parentEv, _ = parent.(EventMemory)
 	return c
@@ -210,7 +209,7 @@ func missStart(x any) {
 func missDone(x any) {
 	m := x.(*miss)
 	c := m.c
-	delete(c.mshr, m.la)
+	c.mshr.Delete(m.la)
 	for i := range m.waiters {
 		c.fill(m.la, m.waiters[i].write)
 		m.waiters[i].h(m.waiters[i].ctx)
@@ -243,7 +242,9 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	}
 
 	c.stats.Misses++
-	if m, busy := c.mshr[la]; busy {
+	slot, fresh := c.mshr.Insert(la)
+	if !fresh {
+		m := *slot
 		m.waiters = append(m.waiters, waiter{h: h, ctx: ctx, write: write})
 		c.stats.MergedMiss++
 		return
@@ -253,7 +254,7 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.la = la
 	m.addr = addr
 	m.waiters = append(m.waiters, waiter{h: h, ctx: ctx, write: write})
-	c.mshr[la] = m
+	*slot = m
 	c.eng.AtEvent(grant+c.hitLatency, missStart, m)
 }
 
@@ -311,4 +312,4 @@ func (c *Cache) Flush() {
 func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 
 // Inflight returns the number of outstanding miss groups (diagnostics).
-func (c *Cache) Inflight() int { return len(c.mshr) }
+func (c *Cache) Inflight() int { return c.mshr.Len() }

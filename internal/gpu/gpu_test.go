@@ -487,14 +487,11 @@ func TestMemAccessSteadyStateZeroAllocs(t *testing.T) {
 			for i := range addrs {
 				addrs[i] = buf.At(sh.gen(i) % buf.Size)
 			}
-			// Warm the engine's per-cycle bucket capacities directly:
-			// every index of the calendar ring gets a burst so steady-state
-			// appends never grow a slice. (Bucket capacity survives drains
-			// but each index only grows when events land on it.)
-			for d := 0; d < 8; d++ {
-				for i := sim.Time(1); i <= 2*sim.CalendarWindow; i++ {
-					rig.eng.At(rig.eng.Now()+i, func() {})
-				}
+			// Warm the engine's calendar slab: it grows only when the
+			// number of pending events reaches a new peak, so one burst
+			// deeper than the access shape ever queues suffices.
+			for i := sim.Time(0); i < 8192; i++ {
+				rig.eng.At(rig.eng.Now()+1+i%64, func() {})
 			}
 			rig.eng.Run()
 			// Warm the pools, caches, and TLBs on the access shape itself.

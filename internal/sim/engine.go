@@ -30,27 +30,45 @@ type Handler func(ctx any)
 func runClosure(ctx any) { ctx.(func())() }
 
 // The near-future calendar: a ring of calWindow per-cycle buckets.
-// Events within calWindow cycles of now append to their cycle's bucket
+// Events within calWindow cycles of now join their cycle's bucket
 // (O(1), no ordering work at all); farther events go to the binary
-// heap. calWindow must be a power of two and comfortably cover the
-// model's common latencies (cache hits, TLB probes, DRAM bursts — all
-// well under 1024 cycles) so the heap only sees rare long-range events
-// (kernel launches, oversubscribed port grants).
+// heap. calWindow must be a power of two. It is sized by the longest
+// common latency, which is not a cache or TLB hit but DRAM backlog:
+// under a GUPS-class miss stream the bank and bus queues schedule
+// L2-miss completions and writebacks 16k–64k cycles ahead. With a
+// 16384-cycle window those sent 912,322 of 7.59M events of GUPS ic+lds
+// at scale 1.0 to the heap; 881,560 of them fall within 32768 cycles,
+// so this window leaves the heap the true stragglers (deep DRAM
+// backlog, kernel launches, oversubscribed port grants).
+//
+// Layout: every calendar event lives in one slab of slots, and a
+// bucket is an intrusive FIFO over the slab: one int32, the index of
+// the bucket's newest slot, whose next link closes a ring back to the
+// oldest. So one index gives O(1) append at the tail and O(1) pop at
+// the head. Drained slots go to a free list threaded through the same
+// links. Slot 0 is a sentinel, so index 0 means "none" and a zeroed
+// bucket is an empty one. The fixed per-engine footprint, which every
+// NewSystem zeroes, is calWindow × 4 B = 128 KiB of bucket tails, and
+// steady-state scheduling touches no allocator at all: the slab only
+// grows when the number of pending events reaches a new peak.
 const (
-	calWindow = 16384
+	calWindow = 32768
 	calWords  = calWindow / 64
 
 	// CalendarWindow mirrors calWindow for code outside the package
-	// that needs to reason about the near/far boundary — typically
-	// allocation tests warming every bucket index of the ring.
+	// that needs to reason about the near/far boundary.
 	CalendarWindow = calWindow
 )
 
-// calSlot is one calendar event. Bucket order is append order; see
-// Step for why that alone reproduces the (at, seq) total order.
+// calSlot is one calendar event, or a free slot. Bucket order is
+// append order; see Step for why that alone reproduces the (at, seq)
+// total order.
 type calSlot struct {
 	h   Handler
 	ctx any
+	// next is the following slot of the same bucket (the tail's next
+	// is the head), or the next free slot; 0 ends the free list.
+	next int32
 }
 
 // heapEvent is one far-future event. seq breaks same-cycle ties so that
@@ -90,14 +108,15 @@ type Engine struct {
 	seq    uint64
 	events uint64
 
-	// buckets[t % calWindow] holds the near-future events for cycle t;
-	// bits tracks non-empty buckets for O(words) next-event scans;
-	// nearCount is the number of undispatched calendar events; curHead
-	// is the consumed prefix of the current cycle's bucket.
-	buckets   [calWindow][]calSlot
+	// buckets[t % calWindow] is the tail slot of cycle t's ring of
+	// near-future events in slab (0: none); free heads the free-slot
+	// list; bits tracks non-empty buckets for O(words) next-event
+	// scans; nearCount is the number of undispatched calendar events.
+	buckets   [calWindow]int32
+	slab      []calSlot
+	free      int32
 	bits      [calWords]uint64
 	nearCount int
-	curHead   int
 
 	heap []heapEvent
 
@@ -108,7 +127,7 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle zero with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{slab: make([]calSlot, 1, 256)} // slot 0: sentinel
 }
 
 // Now returns the current simulation time.
@@ -128,10 +147,7 @@ func (e *Engine) AtEvent(t Time, h Handler, ctx any) {
 			t, e.now, e.events))
 	}
 	if t-e.now < calWindow {
-		i := int(t % calWindow)
-		e.buckets[i] = append(e.buckets[i], calSlot{h: h, ctx: ctx})
-		e.bits[i>>6] |= 1 << uint(i&63)
-		e.nearCount++
+		e.calPush(int(t%calWindow), h, ctx)
 		return
 	}
 	e.seq++
@@ -152,21 +168,47 @@ func (e *Engine) At(t Time, fn func()) {
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn func()) { e.AtEvent(e.now+d, runClosure, fn) }
 
-// syncBucket resets the current cycle's bucket once fully drained:
-// truncate for reuse (the backing array is the free list) and clear its
-// occupancy bit. Must run before the clock moves past the cycle —
-// bucket index t%calWindow aliases cycle t+calWindow.
-func (e *Engine) syncBucket() {
-	if e.curHead == 0 {
-		return
+// calPush appends (h, ctx) to bucket bi, taking a slot from the free
+// list or, at a new pending-event peak, growing the slab.
+func (e *Engine) calPush(bi int, h Handler, ctx any) {
+	i := e.free
+	if i != 0 {
+		e.free = e.slab[i].next
+		e.slab[i] = calSlot{h: h, ctx: ctx}
+	} else {
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, calSlot{h: h, ctx: ctx})
 	}
-	ci := int(e.now % calWindow)
-	if e.curHead < len(e.buckets[ci]) {
-		return
+	if tail := e.buckets[bi]; tail == 0 {
+		e.slab[i].next = i // a ring of one
+		e.bits[bi>>6] |= 1 << uint(bi&63)
+	} else {
+		e.slab[i].next = e.slab[tail].next // the new tail closes the ring
+		e.slab[tail].next = i
 	}
-	e.buckets[ci] = e.buckets[ci][:0]
-	e.curHead = 0
-	e.bits[ci>>6] &^= 1 << uint(ci&63)
+	e.buckets[bi] = i
+	e.nearCount++
+}
+
+// calPop removes the oldest event of the non-empty bucket bi, returns
+// its slot to the free list and clears the bucket's occupancy bit once
+// it drains — before the clock can move past the cycle, since bucket
+// index t%calWindow aliases cycle t+calWindow.
+func (e *Engine) calPop(bi int) (Handler, any) {
+	tail := e.buckets[bi]
+	i := e.slab[tail].next // the head
+	s := &e.slab[i]
+	h, ctx := s.h, s.ctx
+	if i == tail {
+		e.buckets[bi] = 0
+		e.bits[bi>>6] &^= 1 << uint(bi&63)
+	} else {
+		e.slab[tail].next = s.next
+	}
+	*s = calSlot{next: e.free} // release refs eagerly
+	e.free = i
+	e.nearCount--
+	return h, ctx
 }
 
 // Step runs the next event, advancing the clock to its time.
@@ -182,17 +224,12 @@ func (e *Engine) Step() bool {
 			ev.h(ev.ctx)
 			return true
 		}
-		ci := int(e.now % calWindow)
-		if b := e.buckets[ci]; e.curHead < len(b) {
-			s := b[e.curHead]
-			b[e.curHead] = calSlot{} // release refs eagerly
-			e.curHead++
-			e.nearCount--
+		if ci := int(e.now % calWindow); e.buckets[ci] != 0 {
+			h, ctx := e.calPop(ci)
 			e.events++
-			s.h(s.ctx)
+			h(ctx)
 			return true
 		}
-		e.syncBucket()
 		t, ok := e.nextEventTime()
 		if !ok {
 			return false
@@ -241,12 +278,9 @@ func (e *Engine) nextCalTime() (Time, bool) {
 }
 
 // peekTime returns the time of the next pending event without running
-// it. It may perform internal bucket bookkeeping but never reorders or
-// drops events.
+// it.
 func (e *Engine) peekTime() (Time, bool) {
-	e.syncBucket()
-	ci := int(e.now % calWindow)
-	if e.curHead < len(e.buckets[ci]) {
+	if e.buckets[e.now%calWindow] != 0 {
 		return e.now, true
 	}
 	if len(e.heap) > 0 && e.heap[0].at == e.now {

@@ -66,13 +66,16 @@ func (e *Engine) Snapshot(maxNext int) QueueSnapshot {
 	pending := e.Pending()
 	times := make([]Time, 0, pending)
 	for idx := range e.buckets {
-		n := len(e.buckets[idx])
-		t := e.calCycle(idx)
-		if t == e.now {
-			n -= e.curHead // skip the already-dispatched prefix
+		tail := e.buckets[idx]
+		if tail == 0 {
+			continue
 		}
-		for i := 0; i < n; i++ {
+		t := e.calCycle(idx)
+		for i := e.slab[tail].next; ; i = e.slab[i].next {
 			times = append(times, t)
+			if i == tail {
+				break
+			}
 		}
 	}
 	for i := range e.heap {

@@ -183,3 +183,53 @@ func TestFailfCarriesSnapshot(t *testing.T) {
 		t.Errorf("message lost: %q", got.Error())
 	}
 }
+
+// TestSnapshotListsPendingSlabEvents: Snapshot must list every pending
+// event exactly once at its absolute cycle — the undispatched rest of
+// the current cycle's bucket, same-cycle events added from a running
+// handler, events whose ring index wraps behind the clock, events in
+// reused slab slots, and heap events beyond the window.
+func TestSnapshotListsPendingSlabEvents(t *testing.T) {
+	e := NewEngine()
+	const w = CalendarWindow
+	check := func(when string, want ...Time) {
+		t.Helper()
+		s := e.Snapshot(len(want) + 5)
+		if s.Pending != len(want) || len(s.NextTimes) != len(want) {
+			t.Fatalf("%s: snapshot %+v, want %d pending at %v", when, s, len(want), want)
+		}
+		for i := range want {
+			if s.NextTimes[i] != want[i] {
+				t.Fatalf("%s: NextTimes = %v, want %v", when, s.NextTimes, want)
+			}
+		}
+	}
+	nop := func() {}
+	e.At(10, func() {
+		// B and C are still queued at this cycle; H joins behind them.
+		e.At(10, nop)
+		check("inside the first of three cycle-10 events", 10, 10, 10, 12, 5000, w+100, 3*w)
+	})
+	e.At(10, nop) // B
+	e.At(10, nop) // C
+	e.At(12, nop)
+	e.At(5000, func() {
+		// Ring index (5000+w-1)%w lies behind the clock's own index.
+		e.At(5000+w-1, nop)
+		check("after a wrapping schedule", w+100, 5000+w-1, 3*w)
+	})
+	e.At(w+100, nop) // heap: beyond the window at cycle 0
+	e.At(3*w, nop)   // heap
+	check("before running", 10, 10, 10, 12, 5000, w+100, 3*w)
+
+	e.RunUntil(12)
+	// The drained slots are on the free list; new events reuse them.
+	e.At(13, nop)
+	e.At(13, nop)
+	check("after draining cycles 10 and 12", 13, 13, 5000, w+100, 3*w)
+
+	e.RunUntil(5000)
+	check("after the wrapping schedule ran", w+100, 5000+w-1, 3*w)
+	e.Run()
+	check("drained")
+}

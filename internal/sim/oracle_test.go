@@ -88,13 +88,49 @@ type execRecord struct {
 	at Time
 }
 
+// mixedOffset is the default child-delay distribution: same-cycle
+// storms, short hops, cache-scale latencies, window-edge straddles and
+// deep heap territory.
+func mixedOffset(rng *rand.Rand) Time {
+	switch rng.Intn(5) {
+	case 0:
+		return 0 // same-cycle storm from inside a handler
+	case 1:
+		return Time(rng.Intn(8))
+	case 2:
+		return Time(rng.Intn(400))
+	case 3:
+		return Time(calWindow - 2 + rng.Intn(5)) // straddle the window edge
+	default:
+		return Time(rng.Intn(3 * calWindow)) // deep heap territory
+	}
+}
+
+// edgeOffset concentrates child delays exactly on the near/far
+// boundary and its multiples, where an off-by-one in the bucket/heap
+// split or the ring arithmetic would misorder events.
+func edgeOffset(rng *rand.Rand) Time {
+	edges := [...]Time{0, 1, CalendarWindow - 1, CalendarWindow, CalendarWindow + 1,
+		2*CalendarWindow - 1, 4 * CalendarWindow, 4*CalendarWindow + 1}
+	return edges[rng.Intn(len(edges))]
+}
+
+// dramOffset mimics DRAM bank and bus backlog under a GUPS-class miss
+// stream: completions 16k–64k cycles out, on both sides of the window,
+// mixed with the short hops of the cache and TLB paths.
+func dramOffset(rng *rand.Rand) Time {
+	if rng.Intn(3) == 0 {
+		return Time(rng.Intn(64))
+	}
+	return Time(16384 + rng.Intn(65536-16384+1))
+}
+
 // runProgram executes a deterministic randomized event program on s:
 // roots are scheduled at their absolute times, and every executed event
-// schedules children at offsets derived purely from its id (including
-// same-cycle offsets and far-future offsets that cross the calendar
-// window). The returned log of (id, Now()) pairs is the observable
-// dequeue order.
-func runProgram(s scheduler, roots []Time, seed int64, spawnLimit int, drain func()) []execRecord {
+// schedules children at offsets drawn from offset with an rng derived
+// purely from its id. The returned log of (id, Now()) pairs is the
+// observable dequeue order.
+func runProgram(s scheduler, roots []Time, seed int64, spawnLimit int, offset func(*rand.Rand) Time, drain func()) []execRecord {
 	var log []execRecord
 	next := len(roots)
 	var handler func(id int) func()
@@ -106,22 +142,9 @@ func runProgram(s scheduler, roots []Time, seed int64, spawnLimit int, drain fun
 			}
 			rng := rand.New(rand.NewSource(seed ^ int64(id)*0x9E3779B9))
 			for k := rng.Intn(4); k > 0; k-- {
-				var off Time
-				switch rng.Intn(5) {
-				case 0:
-					off = 0 // same-cycle storm from inside a handler
-				case 1:
-					off = Time(rng.Intn(8))
-				case 2:
-					off = Time(rng.Intn(400))
-				case 3:
-					off = Time(calWindow - 2 + rng.Intn(5)) // straddle the window edge
-				default:
-					off = Time(rng.Intn(3 * calWindow)) // deep heap territory
-				}
 				cid := next
 				next++
-				s.At(s.Now()+off, handler(cid))
+				s.At(s.Now()+offset(rng), handler(cid))
 			}
 		}
 	}
@@ -167,10 +190,10 @@ func TestQueueMatchesHeapOracle(t *testing.T) {
 		roots := makeRoots(rng)
 
 		eng := NewEngine()
-		got := runProgram(eng, roots, seed, 4000, eng.Run)
+		got := runProgram(eng, roots, seed, 4000, mixedOffset, eng.Run)
 
 		ora := &oracleEngine{}
-		want := runProgram(ora, roots, seed, 4000, ora.Run)
+		want := runProgram(ora, roots, seed, 4000, mixedOffset, ora.Run)
 
 		compareLogs(t, seed, got, want)
 		if eng.Now() != ora.Now() {
@@ -201,7 +224,7 @@ func TestQueueMatchesOracleAcrossRunUntil(t *testing.T) {
 		eng := NewEngine()
 		ora := &oracleEngine{}
 		var clocks []Time
-		got := runProgram(eng, roots, seed, 2000, func() {
+		got := runProgram(eng, roots, seed, 2000, mixedOffset, func() {
 			for _, lim := range limits {
 				eng.RunUntil(lim)
 				clocks = append(clocks, eng.Now())
@@ -209,7 +232,7 @@ func TestQueueMatchesOracleAcrossRunUntil(t *testing.T) {
 			eng.Run() // drain the tail
 		})
 		var oraClocks []Time
-		want := runProgram(ora, roots, seed, 2000, func() {
+		want := runProgram(ora, roots, seed, 2000, mixedOffset, func() {
 			for _, lim := range limits {
 				ora.RunUntil(lim)
 				oraClocks = append(oraClocks, ora.Now())
@@ -222,6 +245,60 @@ func TestQueueMatchesOracleAcrossRunUntil(t *testing.T) {
 			if clocks[i] != oraClocks[i] {
 				t.Fatalf("seed %d: after RunUntil(%d) clock=%d, oracle=%d",
 					seed, limits[i], clocks[i], oraClocks[i])
+			}
+		}
+	}
+}
+
+// TestQueueMatchesOracleAtWindowEdges: delays exactly at, just
+// inside and just past the calendar window (and its multiples), and
+// DRAM-backlog delays of 16k–64k cycles, must dequeue in the oracle's
+// order, both on a full drain and across RunUntil chunks whose limits
+// land near window multiples.
+func TestQueueMatchesOracleAtWindowEdges(t *testing.T) {
+	offsets := []struct {
+		name   string
+		offset func(*rand.Rand) Time
+	}{{"edge", edgeOffset}, {"dram", dramOffset}}
+	for _, o := range offsets {
+		for seed := int64(21); seed <= 24; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			roots := makeRoots(rng)
+			var limits []Time
+			for i := Time(1); i <= 40; i++ {
+				limits = append(limits, i*CalendarWindow/2+Time(rng.Intn(3))-1)
+			}
+
+			eng := NewEngine()
+			got := runProgram(eng, roots, seed, 3000, o.offset, eng.Run)
+			ora := &oracleEngine{}
+			want := runProgram(ora, roots, seed, 3000, o.offset, ora.Run)
+			compareLogs(t, seed, got, want)
+
+			eng = NewEngine()
+			var clocks []Time
+			got = runProgram(eng, roots, seed, 3000, o.offset, func() {
+				for _, lim := range limits {
+					eng.RunUntil(lim)
+					clocks = append(clocks, eng.Now())
+				}
+				eng.Run()
+			})
+			ora = &oracleEngine{}
+			var oraClocks []Time
+			want = runProgram(ora, roots, seed, 3000, o.offset, func() {
+				for _, lim := range limits {
+					ora.RunUntil(lim)
+					oraClocks = append(oraClocks, ora.Now())
+				}
+				ora.Run()
+			})
+			compareLogs(t, seed, got, want)
+			for i := range clocks {
+				if clocks[i] != oraClocks[i] {
+					t.Fatalf("%s seed %d: after RunUntil(%d) clock=%d, oracle=%d",
+						o.name, seed, limits[i], clocks[i], oraClocks[i])
+				}
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package tlb
 
+import "gpureach/internal/sim"
+
 // Coalescer merges concurrent translation requests to the same page, the
 // way the hardware coalesces a SIMD unit's lane accesses and in-flight
 // L1 misses (§2.1: "memory accesses targeting the same page are
@@ -7,7 +9,7 @@ package tlb
 // the real lookup; later requesters for the same key ride along and are
 // all completed together.
 type Coalescer struct {
-	inflight map[Key][]waiter
+	inflight sim.Table[[]waiter]
 	// freeLists recycles drained waiter slices: steady-state joins then
 	// append into retained capacity instead of allocating.
 	freeLists [][]waiter
@@ -28,9 +30,7 @@ type waiter struct {
 }
 
 // NewCoalescer returns an empty coalescer.
-func NewCoalescer() *Coalescer {
-	return &Coalescer{inflight: make(map[Key][]waiter)}
-}
+func NewCoalescer() *Coalescer { return &Coalescer{} }
 
 // callEntryClosure adapts the closure-style Join API onto the handler
 // form: the func value itself rides in the ctx word.
@@ -46,15 +46,15 @@ func (c *Coalescer) Join(key Key, done func(Entry)) (first bool) {
 // JoinEvent is the allocation-free form of Join: h(ctx, entry) runs
 // when key resolves.
 func (c *Coalescer) JoinEvent(key Key, h EntryHandler, ctx any) (first bool) {
-	waiters, exists := c.inflight[key]
-	if !exists && len(c.freeLists) > 0 {
+	waiters, fresh := c.inflight.Insert(uint64(key))
+	if fresh && len(c.freeLists) > 0 {
 		n := len(c.freeLists) - 1
-		waiters = c.freeLists[n]
+		*waiters = c.freeLists[n]
 		c.freeLists[n] = nil
 		c.freeLists = c.freeLists[:n]
 	}
-	c.inflight[key] = append(waiters, waiter{h: h, ctx: ctx})
-	if exists {
+	*waiters = append(*waiters, waiter{h: h, ctx: ctx})
+	if !fresh {
 		c.Merged++
 		return false
 	}
@@ -66,11 +66,10 @@ func (c *Coalescer) JoinEvent(key Key, h EntryHandler, ctx any) (first bool) {
 // Completing a key with no waiters is a no-op (it can happen when a
 // shootdown raced the completion and cleared the waiters).
 func (c *Coalescer) Complete(key Key, entry Entry) {
-	waiters, exists := c.inflight[key]
+	waiters, exists := c.inflight.Delete(uint64(key))
 	if !exists {
 		return
 	}
-	delete(c.inflight, key)
 	for i := range waiters {
 		waiters[i].h(waiters[i].ctx, entry)
 	}
@@ -81,4 +80,4 @@ func (c *Coalescer) Complete(key Key, entry Entry) {
 }
 
 // Inflight returns the number of distinct keys currently outstanding.
-func (c *Coalescer) Inflight() int { return len(c.inflight) }
+func (c *Coalescer) Inflight() int { return c.inflight.Len() }

@@ -270,3 +270,31 @@ func TestProbeDoesNotTouchLRU(t *testing.T) {
 		t.Error("Probe counted as a hit")
 	}
 }
+
+// TestCoalescerJoinCompleteZeroAllocs guards the coalescer's steady
+// state: once its in-flight table and waiter free lists have grown, a
+// cycle of first joins, merged joins and completions allocates nothing.
+func TestCoalescerJoinCompleteZeroAllocs(t *testing.T) {
+	c := NewCoalescer()
+	done := 0
+	h := EntryHandler(func(ctx any, e Entry) { done++ })
+	const keys, perKey = 64, 4
+	cycle := func() {
+		for i := 0; i < perKey; i++ {
+			for k := vm.VPN(0); k < keys; k++ {
+				c.JoinEvent(MakeKey(spaceA, k), h, nil)
+			}
+		}
+		for k := vm.VPN(0); k < keys; k++ {
+			c.Complete(MakeKey(spaceA, k), entry(spaceA, k))
+		}
+	}
+	cycle() // warm: grow the table and the waiter free lists
+	allocs := testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Fatalf("warm join/complete cycle allocated %.1f times; the contract is 0", allocs)
+	}
+	if c.Inflight() != 0 || done != keys*perKey*(100+2) {
+		t.Fatalf("inflight=%d done=%d after the cycles", c.Inflight(), done)
+	}
+}

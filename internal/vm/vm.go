@@ -207,12 +207,17 @@ func (pt *PageTable) Unmap(vpn VPN) bool {
 	return true
 }
 
-// Walk is the result of traversing the table for one VPN.
+// Walk is the result of traversing the table for one VPN. It is a
+// plain value: walks run once per TLB miss, so the step list is a
+// fixed array rather than a slice that would cost an allocation each.
 type Walk struct {
-	// Steps holds the physical address of the page-table entry read at
-	// each level, root first. A walker that hits in a page-walk cache
-	// skips a prefix of Steps.
-	Steps []PA
+	// Steps[:Depth] holds the physical address of the page-table entry
+	// read at each level, root first. A walker that hits in a page-walk
+	// cache skips a prefix of them.
+	Steps [4]PA
+	// Depth is the number of levels read: WalkLevels for a successful
+	// walk, fewer when an intermediate node is missing.
+	Depth int
 	// PFN is the translation result; only meaningful if OK.
 	PFN PFN
 	// OK reports whether the VPN was mapped. A failed walk still touched
@@ -226,7 +231,8 @@ func (pt *PageTable) Walk(vpn VPN) Walk {
 	var w Walk
 	n := pt.root
 	for d, i := range idx[:levels] {
-		w.Steps = append(w.Steps, n.pa+PA(i*8))
+		w.Steps[d] = n.pa + PA(i*8)
+		w.Depth = d + 1
 		last := d == levels-1
 		if last {
 			lf := n.leaves[i]
@@ -258,8 +264,7 @@ func (pt *PageTable) PrefixKey(vpn VPN, level int) uint64 {
 
 // Lookup translates vpn without recording walk steps. It is the
 // functional (zero-latency) view used by tests and by structures that
-// need the mapping but not the timing. Unlike Walk it never allocates,
-// so it is also the fast path warming leans on.
+// need the mapping but not the timing.
 func (pt *PageTable) Lookup(vpn VPN) (PFN, bool) {
 	idx, levels := pt.levelIndices(vpn)
 	n := pt.root

@@ -51,8 +51,8 @@ func TestMapWalkRoundTrip(t *testing.T) {
 		if !w.OK || w.PFN != 42 {
 			t.Errorf("ps=%d: walk = %+v, want PFN 42", ps, w)
 		}
-		if len(w.Steps) != ps.WalkLevels() {
-			t.Errorf("ps=%d: %d steps, want %d", ps, len(w.Steps), ps.WalkLevels())
+		if w.Depth != ps.WalkLevels() {
+			t.Errorf("ps=%d: %d steps, want %d", ps, w.Depth, ps.WalkLevels())
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestWalkMissingVPN(t *testing.T) {
 	if w.OK {
 		t.Error("walk of unmapped VPN reported OK")
 	}
-	if len(w.Steps) == 0 {
+	if w.Depth == 0 {
 		t.Error("failed walk should still have touched the root")
 	}
 }
@@ -77,7 +77,7 @@ func TestWalkStepsDistinctAddresses(t *testing.T) {
 	pt.Map(vpn, 7)
 	w := pt.Walk(vpn)
 	seen := map[PA]bool{}
-	for _, s := range w.Steps {
+	for _, s := range w.Steps[:w.Depth] {
 		if seen[s] {
 			t.Fatalf("duplicate step address %#x", s)
 		}
@@ -238,7 +238,7 @@ func TestWalkBoundedProperty(t *testing.T) {
 			vpn := VPN(rawVPN % (1 << 30))
 			pt.Map(vpn, 1)
 			w := pt.Walk(vpn)
-			return len(w.Steps) <= ps.WalkLevels() && w.OK
+			return w.Depth <= ps.WalkLevels() && w.OK
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Error(err)
@@ -276,5 +276,23 @@ func TestLargePageSpace(t *testing.T) {
 	}
 	if _, ok := as.Translate(buf.At(4 << 20)); !ok {
 		t.Error("tail of buffer unmapped")
+	}
+}
+
+// TestWalkZeroAllocs guards the miss path's page-table walk: the step
+// list is a fixed array in the returned value, so a walk runs once per
+// L2-TLB miss without touching the allocator.
+func TestWalkZeroAllocs(t *testing.T) {
+	frames := NewFrameAllocator(16 << 30)
+	pt := NewPageTable(frames, Page4K)
+	vpn := Page4K.VPN(0x2000_1234_5000)
+	pt.Map(vpn, 7)
+	var w Walk
+	allocs := testing.AllocsPerRun(100, func() { w = pt.Walk(vpn) })
+	if allocs != 0 {
+		t.Fatalf("Walk allocated %.1f times per call; the contract is 0", allocs)
+	}
+	if !w.OK || w.Depth != 4 || w.PFN != 7 {
+		t.Fatalf("walk = %+v, want a 4-level walk to PFN 7", w)
 	}
 }

@@ -140,9 +140,13 @@ type IOMMU struct {
 	coal  *tlb.Coalescer
 
 	freeWalkers int
-	queue       []*walkReq
-	reqPool     sim.Pool[walkReq]
-	stats       Stats
+	// queue[qhead:] holds the requests waiting for a walker, oldest
+	// first. Popping advances qhead instead of re-slicing, so the
+	// backing array is reused rather than abandoned to append.
+	queue   []*walkReq
+	qhead   int
+	reqPool sim.Pool[walkReq]
+	stats   Stats
 	// stallUntil defers walks started before this cycle — the chaos
 	// harness models a stalled walker pipeline by pushing it forward.
 	stallUntil sim.Time
@@ -237,7 +241,6 @@ func (io *IOMMU) TranslateEvent(space *vm.AddrSpace, vpn vm.VPN, h tlb.EntryHand
 // put recycles a finished request, dropping the references it holds.
 func (io *IOMMU) put(r *walkReq) {
 	r.space = nil
-	r.walk = vm.Walk{}
 	io.reqPool.Put(r)
 }
 
@@ -268,20 +271,30 @@ func (io *IOMMU) enqueueWalk(r *walkReq) {
 		io.startWalk(r)
 		return
 	}
+	if len(io.queue) == cap(io.queue) && io.qhead > 0 {
+		// Full only because of the consumed prefix: slide the waiters
+		// down instead of growing.
+		n := copy(io.queue, io.queue[io.qhead:])
+		clear(io.queue[n:])
+		io.queue, io.qhead = io.queue[:n], 0
+	}
 	io.queue = append(io.queue, r)
-	if len(io.queue) > io.stats.MaxQueue {
-		io.stats.MaxQueue = len(io.queue)
+	if n := len(io.queue) - io.qhead; n > io.stats.MaxQueue {
+		io.stats.MaxQueue = n
 	}
 }
 
 func (io *IOMMU) releaseWalker() {
-	if len(io.queue) == 0 {
+	if io.qhead == len(io.queue) {
 		io.freeWalkers++
 		return
 	}
-	next := io.queue[0]
-	io.queue[0] = nil
-	io.queue = io.queue[1:]
+	next := io.queue[io.qhead]
+	io.queue[io.qhead] = nil
+	io.qhead++
+	if io.qhead == len(io.queue) {
+		io.queue, io.qhead = io.queue[:0], 0
+	}
 	io.startWalk(next)
 }
 
@@ -291,41 +304,53 @@ func walkerStart(x any) {
 	r.io.startWalk(r)
 }
 
-// startWalk performs the actual multi-level walk. The deepest page-walk
-// cache hit determines how many upper levels are skipped: a PMD hit
-// leaves only the PTE access, a PUD hit two accesses, and so on.
+// pwcSkip probes the page-walk caches deepest-first and returns how
+// many upper levels of a levels-deep walk of vpn they let the walker
+// skip. Prefix level L covers the first L radix indices, so a hit there
+// means the node for level L+1 is known: a PMD hit leaves only the PTE
+// access, a PUD hit two accesses, and so on. 2MB pages walk 3 levels; a
+// "PMD" probe is meaningless there, and prefix keys encode the level so
+// the caches never alias.
+func (io *IOMMU) pwcSkip(pt *vm.PageTable, vpn vm.VPN, levels int) int {
+	switch {
+	case levels >= 4 && io.pmd.probe(pt.PrefixKey(vpn, 3)):
+		return 3
+	case levels >= 3 && io.pud.probe(pt.PrefixKey(vpn, 2)):
+		return 2
+	case io.pgd.probe(pt.PrefixKey(vpn, 1)):
+		return 1
+	}
+	io.stats.PWCMiss++
+	return 0
+}
+
+// pwcFill records a completed levels-deep walk of vpn in every
+// page-walk cache that covers one of its upper levels.
+func (io *IOMMU) pwcFill(pt *vm.PageTable, vpn vm.VPN, levels int) {
+	io.pgd.fill(pt.PrefixKey(vpn, 1))
+	if levels >= 3 {
+		io.pud.fill(pt.PrefixKey(vpn, 2))
+	}
+	if levels >= 4 {
+		io.pmd.fill(pt.PrefixKey(vpn, 3))
+	}
+}
+
+// startWalk performs the actual multi-level walk, skipping the upper
+// levels the page-walk caches already know.
 func (io *IOMMU) startWalk(r *walkReq) {
 	if io.stallUntil > io.eng.Now() {
 		io.stats.StalledWalks++
 		io.eng.AtEvent(io.stallUntil, walkerStart, r)
 		return
 	}
-	vpn := r.vpn
 	io.stats.Walks++
 	pt := r.space.PageTable()
-	r.walk = pt.Walk(vpn)
+	r.walk = pt.Walk(r.vpn)
 	if !r.walk.OK {
-		io.eng.Failf(sim.ErrPageFault, "walker: page fault for %s vpn=%#x — workloads must touch only allocated buffers", r.space.ID, vpn)
+		io.eng.Failf(sim.ErrPageFault, "walker: page fault for %s vpn=%#x — workloads must touch only allocated buffers", r.space.ID, r.vpn)
 	}
-	levels := len(r.walk.Steps)
-
-	// Deepest-first PWC probe. Prefix level L covers the first L radix
-	// indices; a hit there means the node for level L+1 is known.
-	startIdx := 0
-	switch {
-	case levels >= 4 && io.pmd.probe(pt.PrefixKey(vpn, 3)):
-		startIdx = 3
-	case levels >= 3 && io.pud.probe(pt.PrefixKey(vpn, 2)):
-		startIdx = 2
-	case io.pgd.probe(pt.PrefixKey(vpn, 1)):
-		startIdx = 1
-	default:
-		io.stats.PWCMiss++
-	}
-	// 2MB pages walk 3 levels; a "PMD" probe is meaningless there, and
-	// prefix keys encode the level so the caches never alias.
-
-	r.idx = startIdx
+	r.idx = io.pwcSkip(pt, r.vpn, r.walk.Depth)
 	io.walkStep(r)
 }
 
@@ -337,7 +362,7 @@ func walkerStepDone(x any) {
 }
 
 func (io *IOMMU) walkStep(r *walkReq) {
-	if r.idx >= len(r.walk.Steps) {
+	if r.idx >= r.walk.Depth {
 		io.finishWalk(r)
 		return
 	}
@@ -353,14 +378,7 @@ func (io *IOMMU) walkStep(r *walkReq) {
 func (io *IOMMU) finishWalk(r *walkReq) {
 	vpn := r.vpn
 	pt := r.space.PageTable()
-	levels := len(r.walk.Steps)
-	io.pgd.fill(pt.PrefixKey(vpn, 1))
-	if levels >= 3 {
-		io.pud.fill(pt.PrefixKey(vpn, 2))
-	}
-	if levels >= 4 {
-		io.pmd.fill(pt.PrefixKey(vpn, 3))
-	}
+	io.pwcFill(pt, vpn, r.walk.Depth)
 	// Re-read the leaf at completion time instead of using the PFN
 	// captured when the walk started: a page migration that remapped the
 	// VPN while the walk's memory references were in flight is observed
@@ -403,35 +421,13 @@ func (io *IOMMU) WarmTranslate(space *vm.AddrSpace, vpn vm.VPN) tlb.Entry {
 	}
 	io.stats.Walks++
 	pt := space.PageTable()
-	// Lookup + WalkLevels replaces the detailed path's pt.Walk: a
-	// successful walk always reads one entry per level, and warming has
-	// no walker to feed the step addresses to, so the Steps allocation
-	// would be pure garbage on the hottest fast-forward path.
-	pfn, ok := pt.Lookup(vpn)
-	if !ok {
+	w := pt.Walk(vpn)
+	if !w.OK {
 		io.eng.Failf(sim.ErrPageFault, "walker: page fault for %s vpn=%#x — workloads must touch only allocated buffers", space.ID, vpn)
 	}
-	levels := space.PageSize().WalkLevels()
-	startIdx := 0
-	switch {
-	case levels >= 4 && io.pmd.probe(pt.PrefixKey(vpn, 3)):
-		startIdx = 3
-	case levels >= 3 && io.pud.probe(pt.PrefixKey(vpn, 2)):
-		startIdx = 2
-	case io.pgd.probe(pt.PrefixKey(vpn, 1)):
-		startIdx = 1
-	default:
-		io.stats.PWCMiss++
-	}
-	io.stats.WalkSteps += uint64(levels - startIdx)
-	io.pgd.fill(pt.PrefixKey(vpn, 1))
-	if levels >= 3 {
-		io.pud.fill(pt.PrefixKey(vpn, 2))
-	}
-	if levels >= 4 {
-		io.pmd.fill(pt.PrefixKey(vpn, 3))
-	}
-	entry := tlb.Entry{Space: space.ID, VPN: vpn, PFN: pfn}
+	io.stats.WalkSteps += uint64(w.Depth - io.pwcSkip(pt, vpn, w.Depth))
+	io.pwcFill(pt, vpn, w.Depth)
+	entry := tlb.Entry{Space: space.ID, VPN: vpn, PFN: w.PFN}
 	io.l2.Insert(entry)
 	io.l1.Insert(entry)
 	return entry

@@ -280,3 +280,73 @@ func TestDeviceL1FilledFromL2(t *testing.T) {
 		t.Error("device L1 never filled")
 	}
 }
+
+// eventMem is a fixed-latency memory in the allocation-free event
+// form, as the production cache hierarchy is.
+type eventMem struct {
+	eng     *sim.Engine
+	latency sim.Time
+	reads   int
+}
+
+func (m *eventMem) Access(addr vm.PA, write bool, done func()) {
+	m.AccessEvent(addr, write, func(any) { done() }, nil)
+}
+
+func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
+	m.reads++
+	m.eng.AfterEvent(m.latency, h, ctx)
+}
+
+// TestTranslateWalkZeroAllocs guards the whole detailed miss path once
+// warm: every translation misses both device TLBs and all three
+// page-walk caches, so it queues for a walker, walks all four levels
+// through memory, fills every structure and completes through the
+// coalescer — without allocating.
+func TestTranslateWalkZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L1Entries, cfg.L2Entries = 4, 8
+	cfg.NumWalkers = 4 // fewer walkers than pages: the queue is exercised
+	eng := sim.NewEngine()
+	mem := &eventMem{eng: eng, latency: 50}
+	io := New(eng, cfg, mem)
+	space := vm.NewAddrSpace(vm.SpaceID{}, vm.NewFrameAllocator(16<<30), vm.Page4K)
+
+	// One page in each of 2×64 top-level regions. A round translates
+	// one half, alternating halves, so nothing a round leaves in a
+	// device TLB or page-walk cache (at most 32 entries each) is probed
+	// by the next: each translation is a cold 4-level walk.
+	const pages = 64
+	vpns := make([]vm.VPN, 2*pages)
+	for i := range vpns {
+		vpns[i] = space.VPN(vm.VA(uint64(i) << 39))
+		space.PageTable().Map(vpns[i], vm.PFN(i+1))
+	}
+	done, n := 0, 0
+	h := tlb.EntryHandler(func(ctx any, e tlb.Entry) { done++ })
+	round := func() {
+		half := vpns[n%2*pages:][:pages]
+		n++
+		for _, vpn := range half {
+			io.TranslateEvent(space, vpn, h, nil)
+		}
+		eng.Run()
+	}
+	round() // warm: request pool, walker queue, coalescer, engine slab
+
+	before, reads := io.Stats(), mem.reads
+	allocs := testing.AllocsPerRun(20, round)
+	if allocs != 0 {
+		t.Fatalf("warm translate+walk round allocated %.1f times; the contract is 0", allocs)
+	}
+	s := io.Stats()
+	const rounds = 21 // AllocsPerRun's warm-up call plus its 20 measured ones
+	if s.Walks-before.Walks != rounds*pages || s.PWCMiss-before.PWCMiss != rounds*pages ||
+		s.DevTLBHits != before.DevTLBHits || s.WalkSteps-before.WalkSteps != 4*rounds*pages ||
+		mem.reads-reads != 4*rounds*pages {
+		t.Fatalf("rounds were not all cold 4-level walks: before %+v, after %+v", before, s)
+	}
+	if done != (rounds+1)*pages {
+		t.Fatalf("completed %d translations, want %d", done, (rounds+1)*pages)
+	}
+}
