@@ -4,8 +4,9 @@
 #   make tier2        tier1 plus static analysis and a race-detector sweep
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
-#   make bench        core engine benchmarks: internal/sim microbenches, the
-#                     single-run benchmark, and an appended BENCH_core.json entry
+#   make bench        core engine benchmarks: internal/sim and internal/assoc
+#                     microbenches, the single-run benchmark, and an appended
+#                     BENCH_core.json entry
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
 #   make bench-paper  regenerate the paper's figures/tables (slow; see bench_test.go)
@@ -51,12 +52,12 @@ lint:
 	$(GO) run ./cmd/gpureachvet -stale-allows ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/
+	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/assoc/
 	$(GO) test -bench BenchmarkSingleRun -benchmem -run NONE .
 	$(GO) run ./cmd/benchcore -out BENCH_core.json
 
 bench-smoke:
-	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
+	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/assoc/
 	$(GO) test -bench BenchmarkSingleRun -benchtime 1x -benchmem -run NONE .
 	$(GO) run ./cmd/benchcore -n 1 -out .bench-smoke.json
 	rm -f .bench-smoke.json

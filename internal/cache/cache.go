@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 
+	"gpureach/internal/assoc"
 	"gpureach/internal/sim"
 	"gpureach/internal/vm"
 )
@@ -57,13 +58,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	stamp uint64
-}
-
 // waiter is one request merged onto an in-flight miss. Each waiter
 // keeps its own write flag: the line is filled (or re-dirtied) once per
 // requester, exactly as the closure-based MSHR did.
@@ -87,14 +81,14 @@ type Cache struct {
 	eng      *sim.Engine
 	parent   Memory
 	parentEv EventMemory // parent, when it supports the event form
-	// lines holds all sets contiguously: set s is lines[s*ways:(s+1)*ways].
-	lines      []line
+	// ways holds the line addresses and LRU order of every set; dirty
+	// is the per-way payload beside it.
+	ways       assoc.Ways
+	dirty      []bool
 	numSets    uint64
-	ways       int
 	lineBits   uint
 	hitLatency sim.Time
 	port       *sim.Port
-	clock      uint64
 	mshr       sim.Table[*miss] // in-flight miss groups by line address
 	missPool   sim.Pool[miss]
 	stats      Stats
@@ -134,11 +128,11 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		name:       cfg.Name,
 		eng:        eng,
 		parent:     parent,
-		ways:       cfg.Ways,
+		ways:       assoc.New(numSets, cfg.Ways),
+		dirty:      make([]bool, lines),
 		lineBits:   lineBits,
 		hitLatency: cfg.HitLatency,
 		port:       sim.NewPort(eng, cfg.PortInterval),
-		lines:      make([]line, lines),
 		numSets:    uint64(numSets),
 	}
 	c.parentEv, _ = parent.(EventMemory)
@@ -161,25 +155,9 @@ func (c *Cache) lineAddr(addr vm.PA) uint64 { return uint64(addr) >> c.lineBits 
 // page-table node arrays) otherwise resonate onto a handful of sets and
 // the model falls into interleaving-sensitive conflict-thrash regimes
 // that no real memory system exhibits.
-func (c *Cache) set(lineAddr uint64) []line {
+func (c *Cache) set(lineAddr uint64) int {
 	h := lineAddr ^ lineAddr>>12 ^ lineAddr>>23
-	s := h % c.numSets
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
-}
-
-// lookup returns the way index of lineAddr in its set, or -1.
-func (c *Cache) lookup(lineAddr uint64) int {
-	return findWay(c.set(lineAddr), lineAddr)
-}
-
-// findWay scans one set for lineAddr, returning its way index or -1.
-func findWay(set []line, lineAddr uint64) int {
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return i
-		}
-	}
-	return -1
+	return int(h % c.numSets)
 }
 
 // Access requests the line containing addr. done runs when the access
@@ -228,13 +206,11 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	grant := c.port.Acquire()
 	la := c.lineAddr(addr)
 	c.stats.Accesses++
-	c.clock++
 
-	set := c.set(la)
-	if w := findWay(set, la); w >= 0 {
-		set[w].stamp = c.clock
+	if w := c.ways.Find(c.set(la), la); w >= 0 {
+		c.ways.Touch(w)
 		if write {
-			set[w].dirty = true
+			c.dirty[w] = true
 		}
 		c.stats.Hits++
 		c.eng.AtEvent(grant+c.hitLatency, h, ctx)
@@ -261,51 +237,41 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 // fill installs lineAddr, evicting LRU and writing back dirty victims.
 func (c *Cache) fill(lineAddr uint64, dirty bool) {
 	set := c.set(lineAddr)
-	if w := findWay(set, lineAddr); w >= 0 {
+	if w := c.ways.Find(set, lineAddr); w >= 0 {
 		// Raced with another fill of the same line.
 		if dirty {
-			set[w].dirty = true
+			c.dirty[w] = true
 		}
 		return
 	}
-	c.clock++
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].stamp < set[victim].stamp {
-				victim = i
-			}
-		}
-		if set[victim].dirty {
+	w, old, evicted := c.ways.Fill(set, lineAddr)
+	if evicted {
+		if c.dirty[w] {
 			c.stats.Writebacks++
-			wbAddr := vm.PA(set[victim].tag << c.lineBits)
-			accessEvent(c.parent, c.parentEv, wbAddr, true, nop, nil)
+			accessEvent(c.parent, c.parentEv, vm.PA(old<<c.lineBits), true, nop, nil)
 		}
 		c.stats.Evictions++
 	}
-	set[victim] = line{tag: lineAddr, valid: true, dirty: dirty, stamp: c.clock}
+	c.dirty[w] = dirty
 }
 
 // Contains reports whether the line holding addr is resident (no LRU or
 // counter side effects).
-func (c *Cache) Contains(addr vm.PA) bool { return c.lookup(c.lineAddr(addr)) >= 0 }
+func (c *Cache) Contains(addr vm.PA) bool {
+	la := c.lineAddr(addr)
+	return c.ways.Find(c.set(la), la) >= 0
+}
 
 // Flush invalidates the whole cache, writing back dirty lines.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+	for w, d := range c.dirty { // only valid ways are ever dirty
+		if d {
 			c.stats.Writebacks++
-			accessEvent(c.parent, c.parentEv, vm.PA(c.lines[i].tag<<c.lineBits), true, nop, nil)
+			accessEvent(c.parent, c.parentEv, vm.PA(c.ways.Key(w)<<c.lineBits), true, nop, nil)
 		}
-		c.lines[i] = line{}
 	}
+	c.ways.Flush()
+	clear(c.dirty)
 }
 
 // LineBytes returns the cache's line size.

@@ -245,3 +245,62 @@ func TestHashedSetsRetainLines(t *testing.T) {
 		t.Errorf("only %d/64 strided lines resident — set hashing ineffective", resident)
 	}
 }
+
+// eventMem is a fixed-latency EventMemory: completions are scheduled
+// handler/ctx pairs, so it adds no allocations of its own.
+type eventMem struct {
+	eng     *sim.Engine
+	latency sim.Time
+}
+
+func (m *eventMem) Access(addr vm.PA, write bool, done func()) { m.eng.After(m.latency, done) }
+
+func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
+	m.eng.AfterEvent(m.latency, h, ctx)
+}
+
+func countDone(ctx any) { *ctx.(*int)++ }
+
+// TestAccessEventZeroAllocs guards AccessEvent's steady state: once the
+// engine, MSHR table and miss pool have grown, a hit and a miss that
+// fills over a dirty LRU victim (with its writeback) allocate nothing.
+func TestAccessEventZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, Config{
+		Name: "l2", SizeBytes: 4096, LineBytes: 64, Ways: 4,
+		HitLatency: 4, PortInterval: 1,
+	}, &eventMem{eng: eng, latency: 100})
+	done := 0
+	ctx := any(&done)
+	const lines = 128 // twice the capacity: every line misses and evicts
+	next := 0
+	miss := func() {
+		c.AccessEvent(vm.PA(next*64), true, countDone, ctx)
+		next = (next + 1) % lines
+		eng.Run()
+	}
+	hit := func() {
+		c.AccessEvent(0, false, countDone, ctx)
+		eng.Run()
+	}
+	for i := 0; i < 2*lines; i++ {
+		miss()
+	}
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+		t.Fatalf("warm miss-fill allocated %.1f times; the contract is 0", allocs)
+	}
+	s := c.Stats()
+	if s.Misses == before.Misses || s.Writebacks == before.Writebacks {
+		t.Fatalf("miss loop exercised no misses or writebacks: %+v", s)
+	}
+	c.AccessEvent(0, false, countDone, ctx)
+	eng.Run()
+	before = c.Stats()
+	if allocs := testing.AllocsPerRun(100, hit); allocs != 0 {
+		t.Fatalf("warm hit allocated %.1f times; the contract is 0", allocs)
+	}
+	if s := c.Stats(); s.Hits-before.Hits != 101 {
+		t.Fatalf("hit loop made %d hits, want 101", s.Hits-before.Hits)
+	}
+}

@@ -8,6 +8,7 @@ package tlb
 import (
 	"fmt"
 
+	"gpureach/internal/assoc"
 	"gpureach/internal/vm"
 )
 
@@ -65,24 +66,17 @@ func (s Stats) HitRate() float64 {
 // TLB is a set-associative translation cache with true-LRU replacement.
 // sets == 1 gives a fully-associative structure.
 //
-// Ways are stored as parallel per-field arrays (set s occupies index
-// range [s*ways, (s+1)*ways) in each), not an array of way structs: a
-// fully-associative lookup is a linear probe over every way's key, and
-// scanning a dense key array touches an eighth of the memory the
-// struct-per-way layout did. The stamp array doubles as the valid
-// marker — stamp 0 means the way is empty (the LRU clock starts at 1),
-// so the probe and the LRU scan each read exactly one array. Only the
-// frame number is stored per way: the rest of an Entry is its key
-// (Key.Entry reconstructs it exactly), so fills and evictions move 8
-// bytes of payload instead of 24.
+// Tags, valid bits and recency live in the shared assoc.Ways kernel: a
+// probe is one compare per way over a dense tag array, and the LRU
+// victim is the tail of the set's recency ring, found without a scan.
+// The only payload stored per way is the frame number: the rest of an
+// Entry is its key (Key.Entry reconstructs it exactly), so fills and
+// evictions move 8 bytes of payload instead of 24.
 type TLB struct {
 	name    string
-	keys    []Key
+	ways    assoc.Ways
 	pfns    []vm.PFN
-	stamps  []uint64
-	ways    int
 	numSets uint64
-	clock   uint64
 	stats   Stats
 }
 
@@ -95,11 +89,9 @@ func New(name string, entries, ways int) *TLB {
 	numSets := entries / ways
 	return &TLB{
 		name:    name,
-		ways:    ways,
-		numSets: uint64(numSets),
-		keys:    make([]Key, entries),
+		ways:    assoc.New(numSets, ways),
 		pfns:    make([]vm.PFN, entries),
-		stamps:  make([]uint64, entries),
+		numSets: uint64(numSets),
 	}
 }
 
@@ -107,26 +99,20 @@ func New(name string, entries, ways int) *TLB {
 func (t *TLB) Name() string { return t.name }
 
 // Entries returns total capacity.
-func (t *TLB) Entries() int { return len(t.keys) }
+func (t *TLB) Entries() int { return len(t.pfns) }
 
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// base returns the first way index of key's set.
-func (t *TLB) base(k Key) int {
-	return int(uint64(k.VPN()) % t.numSets * uint64(t.ways))
-}
+// set returns key's set index.
+func (t *TLB) set(k Key) int { return int(uint64(k.VPN()) % t.numSets) }
 
 // Lookup searches for key; on a hit the entry becomes MRU.
 func (t *TLB) Lookup(key Key) (Entry, bool) {
-	b := t.base(key)
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			t.clock++
-			t.stamps[i] = t.clock
-			t.stats.Hits++
-			return key.Entry(t.pfns[i]), true
-		}
+	if w := t.ways.Find(t.set(key), uint64(key)); w >= 0 {
+		t.ways.Touch(w)
+		t.stats.Hits++
+		return key.Entry(t.pfns[w]), true
 	}
 	t.stats.Misses++
 	return Entry{}, false
@@ -135,98 +121,58 @@ func (t *TLB) Lookup(key Key) (Entry, bool) {
 // Probe is Lookup without touching LRU state or counters — used by
 // sharing analyses (Fig 14a) and tests.
 func (t *TLB) Probe(key Key) (Entry, bool) {
-	b := t.base(key)
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			return key.Entry(t.pfns[i]), true
-		}
+	if w := t.ways.Find(t.set(key), uint64(key)); w >= 0 {
+		return key.Entry(t.pfns[w]), true
 	}
 	return Entry{}, false
 }
 
-// Insert fills e, replacing the LRU way of its set if full. It returns
-// the evicted victim entry, if any. Inserting a key that is already
-// present refreshes the existing way instead of duplicating it.
-//
-// The single pass records the first match, first free way, and LRU way
-// simultaneously, then applies them in the same priority order the
-// three-scan version used (refresh > free fill > eviction).
+// Insert fills e into the lowest-index free way of its set, else over
+// the set's LRU way. It returns the evicted victim entry, if any.
+// Inserting a key that is already present refreshes the existing way
+// (new frame, MRU) instead of duplicating it.
 func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	key := e.Key()
-	b := t.base(key)
-	t.clock++
-	free, lru := -1, b
-	for i := b; i < b+t.ways; i++ {
-		s := t.stamps[i]
-		if s == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if t.keys[i] == key {
-			// Refresh on re-insert.
-			t.pfns[i] = e.PFN
-			t.stamps[i] = t.clock
-			return Entry{}, false
-		}
-		if s < t.stamps[lru] {
-			lru = i
-		}
-	}
-	if free >= 0 {
-		t.keys[free] = key
-		t.pfns[free] = e.PFN
-		t.stamps[free] = t.clock
-		t.stats.Fills++
+	set := t.set(key)
+	if w := t.ways.Find(set, uint64(key)); w >= 0 {
+		t.pfns[w] = e.PFN
+		t.ways.Touch(w)
 		return Entry{}, false
 	}
-	victim = t.keys[lru].Entry(t.pfns[lru])
-	t.keys[lru] = key
-	t.pfns[lru] = e.PFN
-	t.stamps[lru] = t.clock
+	w, old, evicted := t.ways.Fill(set, uint64(key))
+	if evicted {
+		victim = Key(old).Entry(t.pfns[w])
+		t.stats.Evictions++
+	}
+	t.pfns[w] = e.PFN
 	t.stats.Fills++
-	t.stats.Evictions++
-	return victim, true
+	return victim, evicted
 }
 
 // Invalidate removes key if present (TLB shootdown, §7.1) and reports
 // whether an entry was removed.
 func (t *TLB) Invalidate(key Key) bool {
-	b := t.base(key)
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			t.stamps[i] = 0
-			t.stats.Shootdowns++
-			return true
-		}
+	w := t.ways.Find(t.set(key), uint64(key))
+	if w < 0 {
+		return false
 	}
-	return false
+	t.ways.Clear(w)
+	t.stats.Shootdowns++
+	return true
 }
 
 // Flush invalidates everything.
-func (t *TLB) Flush() {
-	for i := range t.stamps {
-		t.stamps[i] = 0
-	}
-}
+func (t *TLB) Flush() { t.ways.Flush() }
 
 // Occupied returns the number of valid entries.
-func (t *TLB) Occupied() int {
-	n := 0
-	for i := range t.stamps {
-		if t.stamps[i] != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (t *TLB) Occupied() int { return t.ways.Len() }
 
-// ForEach calls fn for every valid entry (iteration order unspecified).
+// ForEach calls fn for every valid entry in way order: set by set,
+// lowest way first.
 func (t *TLB) ForEach(fn func(Entry)) {
-	for i := range t.stamps {
-		if t.stamps[i] != 0 {
-			fn(t.keys[i].Entry(t.pfns[i]))
+	for w := range t.pfns {
+		if t.ways.Valid(w) {
+			fn(Key(t.ways.Key(w)).Entry(t.pfns[w]))
 		}
 	}
 }

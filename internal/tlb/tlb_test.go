@@ -298,3 +298,26 @@ func TestCoalescerJoinCompleteZeroAllocs(t *testing.T) {
 		t.Fatalf("inflight=%d done=%d after the cycles", c.Inflight(), done)
 	}
 }
+
+// TestInsertLookupZeroAllocs guards the TLB's hot paths: lookups that
+// hit and miss, inserts that fill, refresh and evict allocate nothing.
+func TestInsertLookupZeroAllocs(t *testing.T) {
+	tl := New("l2", 512, 16)
+	const keys = 1024 // twice the capacity: every round evicts
+	round := func() {
+		for k := vm.VPN(0); k < keys; k++ {
+			if _, ok := tl.Lookup(MakeKey(spaceA, k)); !ok {
+				tl.Insert(entry(spaceA, k))
+			}
+			tl.Insert(entry(spaceA, k))   // refresh
+			tl.Lookup(MakeKey(spaceA, k)) // hit
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("warm Lookup/Insert round allocated %.1f times; the contract is 0", allocs)
+	}
+	if s := tl.Stats(); s.Evictions == 0 || s.Hits == 0 {
+		t.Fatalf("round exercised no evictions or hits: %+v", s)
+	}
+}

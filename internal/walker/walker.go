@@ -8,6 +8,7 @@
 package walker
 
 import (
+	"gpureach/internal/assoc"
 	"gpureach/internal/cache"
 	"gpureach/internal/sim"
 	"gpureach/internal/tlb"
@@ -57,61 +58,32 @@ type Stats struct {
 }
 
 // pwc is a tiny fully-associative page-walk cache over prefix keys with
-// true-LRU replacement, stored as parallel key/stamp arrays (stamp 0
-// means the slot is empty; the clock starts at 1). At 4–32 entries a
-// linear scan is an order of magnitude cheaper than the map this used
-// to be, and both the detailed walkers and fast-forward warming probe
-// these caches on every walk. Stamps are unique, so the min-stamp
-// eviction is exactly the map version's LRU choice.
+// true-LRU replacement: one set of the shared assoc.Ways kernel, whose
+// ways are the cache's 4–32 entries. Both the detailed walkers and
+// fast-forward warming probe these caches on every walk. A zero-entry
+// PWC is legal and always misses.
 type pwc struct {
-	keys   []uint64
-	stamps []uint64
-	clock  uint64
-	hits   uint64
+	ways assoc.Ways
+	hits uint64
 }
 
-func newPWC(entries int) *pwc {
-	return &pwc{keys: make([]uint64, entries), stamps: make([]uint64, entries)}
-}
+func newPWC(entries int) *pwc { return &pwc{ways: assoc.New(1, entries)} }
 
 func (p *pwc) probe(key uint64) bool {
-	for i, s := range p.stamps {
-		if s != 0 && p.keys[i] == key {
-			p.clock++
-			p.stamps[i] = p.clock
-			p.hits++
-			return true
-		}
+	if w := p.ways.Find(0, key); w >= 0 {
+		p.ways.Touch(w)
+		p.hits++
+		return true
 	}
 	return false
 }
 
 func (p *pwc) fill(key uint64) {
-	if len(p.keys) == 0 {
+	if w := p.ways.Find(0, key); w >= 0 {
+		p.ways.Touch(w) // refresh on re-fill
 		return
 	}
-	p.clock++
-	free, lru := -1, 0
-	for i, s := range p.stamps {
-		if s == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if p.keys[i] == key {
-			p.stamps[i] = p.clock // refresh on re-fill
-			return
-		}
-		if s < p.stamps[lru] {
-			lru = i
-		}
-	}
-	if free >= 0 {
-		lru = free
-	}
-	p.keys[lru] = key
-	p.stamps[lru] = p.clock
+	p.ways.Fill(0, key)
 }
 
 // walkReq is the pooled context of one translation request, reused

@@ -222,14 +222,14 @@ func TestPWCCapacityEviction(t *testing.T) {
 	buf := space.Alloc("A", 4096)
 	io.Translate(space, space.VPN(buf.Base), func(tlb.Entry) {})
 	eng.Run()
-	if len(io.pgd.stamps) > cfg.PGDEntries {
-		t.Errorf("PGD cache holds %d > %d entries", len(io.pgd.stamps), cfg.PGDEntries)
+	if n := io.pgd.ways.Len(); n > cfg.PGDEntries {
+		t.Errorf("PGD cache holds %d > %d entries", n, cfg.PGDEntries)
 	}
 	for i := uint64(0); i < 100; i++ {
 		io.pmd.fill(i)
 	}
-	if len(io.pmd.stamps) > cfg.PMDEntries {
-		t.Errorf("PMD cache holds %d > %d entries", len(io.pmd.stamps), cfg.PMDEntries)
+	if n := io.pmd.ways.Len(); n > cfg.PMDEntries {
+		t.Errorf("PMD cache holds %d > %d entries", n, cfg.PMDEntries)
 	}
 }
 
