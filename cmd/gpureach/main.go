@@ -1,6 +1,7 @@
 // Command gpureach runs the simulated GPU: one application on one
 // configuration, or (with the sweep subcommand) a whole cached,
-// resumable campaign over the configuration matrix.
+// resumable campaign over the configuration matrix. The subcommands are
+// sweep, serve and exp; any other positional argument is a usage error.
 //
 // Examples:
 //
@@ -13,11 +14,8 @@
 //
 //	gpureach sweep -schemes lds,ic+lds -scale 0.1 -procs 8 -out sweep-out
 //	gpureach sweep -resume -out sweep-out   # pick up a killed campaign
-//	gpureach sweep -scale 1.0 -workers 8    # shard runs across 8 worker processes
-//	gpureach worker -listen :9123           # contribute this machine to a fleet
 //
 //	gpureach serve -addr 127.0.0.1:8787     # campaign server (HTTP/JSON API)
-//	gpureach serve -executor shard -workers 8
 //	gpureach -list -json                    # machine-readable spec vocabulary
 //
 //	gpureach exp -list                      # paper tables/figures by ID
@@ -40,6 +38,9 @@ import (
 	"gpureach/internal/workloads"
 )
 
+// subcommands are the words main dispatches on before flag parsing.
+var subcommands = []string{"sweep", "serve", "exp"}
+
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -48,9 +49,6 @@ func main() {
 			return
 		case "serve":
 			runServe(os.Args[2:])
-			return
-		case "worker":
-			runWorker(os.Args[2:])
 			return
 		case "exp":
 			os.Exit(cli.RunExp(os.Args[2:], os.Stdout, os.Stderr))
@@ -69,6 +67,11 @@ func main() {
 	listJSON := flag.Bool("json", false, "with -list: print the machine-readable catalog (what API clients feed into sweep specs)")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gpureach: unknown subcommand or stray argument %q (subcommands: %s; see gpureach -h for single-run flags)\n",
+			flag.Arg(0), strings.Join(subcommands, ", "))
+		os.Exit(2)
+	}
 	if err := prof.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

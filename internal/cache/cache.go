@@ -14,30 +14,13 @@ import (
 	"gpureach/internal/vm"
 )
 
-// Memory is anything that can service a physical-address access and call
-// done when the data is available (or, for writes, accepted).
+// Memory is anything that can service a physical-address access. The
+// event form is the only form: h(ctx) runs when the data is available
+// (or, for writes, accepted), so a completion needs no captured closure
+// and the steady-state access path allocates nothing. Cache and
+// dram.DRAM are the production memories.
 type Memory interface {
-	Access(addr vm.PA, write bool, done func())
-}
-
-// EventMemory is the allocation-free form of Memory: completion is a
-// (Handler, ctx) pair instead of a captured closure. The production
-// memories (Cache, dram.DRAM) implement it; consumers probe for it
-// once at construction and fall back to Access for plain Memory
-// implementations (test fakes).
-type EventMemory interface {
-	Memory
 	AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any)
-}
-
-// accessEvent routes one access through em when available, else
-// through the closure-based m (ev and m refer to the same backend).
-func accessEvent(m Memory, em EventMemory, addr vm.PA, write bool, h sim.Handler, ctx any) {
-	if em != nil {
-		em.AccessEvent(addr, write, h, ctx)
-		return
-	}
-	m.Access(addr, write, func() { h(ctx) })
 }
 
 // Stats counts cache events.
@@ -60,7 +43,7 @@ func (s Stats) HitRate() float64 {
 
 // waiter is one request merged onto an in-flight miss. Each waiter
 // keeps its own write flag: the line is filled (or re-dirtied) once per
-// requester, exactly as the closure-based MSHR did.
+// requester.
 type waiter struct {
 	h     sim.Handler
 	ctx   any
@@ -77,10 +60,9 @@ type miss struct {
 
 // Cache is one level of the data hierarchy.
 type Cache struct {
-	name     string
-	eng      *sim.Engine
-	parent   Memory
-	parentEv EventMemory // parent, when it supports the event form
+	name   string
+	eng    *sim.Engine
+	parent Memory
 	// ways holds the line addresses and LRU order of every set; dirty
 	// is the per-way payload beside it.
 	ways       assoc.Ways
@@ -124,7 +106,7 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		panic(fmt.Sprintf("cache %q: line size %d not a power of two", cfg.Name, cfg.LineBytes))
 	}
 	numSets := lines / cfg.Ways
-	c := &Cache{
+	return &Cache{
 		name:       cfg.Name,
 		eng:        eng,
 		parent:     parent,
@@ -135,8 +117,6 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		port:       sim.NewPort(eng, cfg.PortInterval),
 		numSets:    uint64(numSets),
 	}
-	c.parentEv, _ = parent.(EventMemory)
-	return c
 }
 
 // Name returns the cache's diagnostic name.
@@ -160,18 +140,6 @@ func (c *Cache) set(lineAddr uint64) int {
 	return int(h % c.numSets)
 }
 
-// Access requests the line containing addr. done runs when the access
-// completes (after hit latency on a hit; after the miss resolves through
-// the parent otherwise). Writes mark the line dirty; dirty victims are
-// written back to the parent asynchronously.
-func (c *Cache) Access(addr vm.PA, write bool, done func()) {
-	c.AccessEvent(addr, write, callClosure, done)
-}
-
-// callClosure adapts the closure-style Access API onto the handler
-// form: the func value rides in the ctx word.
-func callClosure(ctx any) { ctx.(func())() }
-
 // nop discards a completion (fire-and-forget writebacks).
 func nop(any) {}
 
@@ -179,7 +147,7 @@ func nop(any) {}
 // probe completes.
 func missStart(x any) {
 	m := x.(*miss)
-	accessEvent(m.c.parent, m.c.parentEv, m.addr, false, missDone, m)
+	m.c.parent.AccessEvent(m.addr, false, missDone, m)
 }
 
 // missDone drains an MSHR entry: fill once per requester (each with its
@@ -200,8 +168,10 @@ func missDone(x any) {
 	c.missPool.Put(m)
 }
 
-// AccessEvent is the allocation-free form of Access: h(ctx) runs at
-// completion time.
+// AccessEvent requests the line containing addr. h(ctx) runs when the
+// access completes (after hit latency on a hit; after the miss resolves
+// through the parent otherwise). Writes mark the line dirty; dirty
+// victims are written back to the parent asynchronously.
 func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	grant := c.port.Acquire()
 	la := c.lineAddr(addr)
@@ -248,7 +218,7 @@ func (c *Cache) fill(lineAddr uint64, dirty bool) {
 	if evicted {
 		if c.dirty[w] {
 			c.stats.Writebacks++
-			accessEvent(c.parent, c.parentEv, vm.PA(old<<c.lineBits), true, nop, nil)
+			c.parent.AccessEvent(vm.PA(old<<c.lineBits), true, nop, nil)
 		}
 		c.stats.Evictions++
 	}
@@ -267,7 +237,7 @@ func (c *Cache) Flush() {
 	for w, d := range c.dirty { // only valid ways are ever dirty
 		if d {
 			c.stats.Writebacks++
-			accessEvent(c.parent, c.parentEv, vm.PA(c.ways.Key(w)<<c.lineBits), true, nop, nil)
+			c.parent.AccessEvent(vm.PA(c.ways.Key(w)<<c.lineBits), true, nop, nil)
 		}
 	}
 	c.ways.Flush()

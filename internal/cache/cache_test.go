@@ -7,23 +7,23 @@ import (
 	"gpureach/internal/vm"
 )
 
-// fakeMem is a fixed-latency backing store that records traffic.
+// fakeMem is a fixed-latency backing store that counts traffic.
+// Completions are scheduled handler/ctx pairs, so it adds no
+// allocations of its own.
 type fakeMem struct {
-	eng      *sim.Engine
-	latency  sim.Time
-	reads    int
-	writes   int
-	accesses []vm.PA
+	eng     *sim.Engine
+	latency sim.Time
+	reads   int
+	writes  int
 }
 
-func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
+func (m *fakeMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	if write {
 		m.writes++
 	} else {
 		m.reads++
 	}
-	m.accesses = append(m.accesses, addr)
-	m.eng.After(m.latency, done)
+	m.eng.AfterEvent(m.latency, h, ctx)
 }
 
 func newDUT(t *testing.T) (*sim.Engine, *Cache, *fakeMem) {
@@ -40,9 +40,9 @@ func newDUT(t *testing.T) (*sim.Engine, *Cache, *fakeMem) {
 func TestMissThenHitLatency(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	var missT, hitT sim.Time
-	c.Access(0, false, func() { missT = eng.Now() })
+	c.AccessEvent(0, false, func(any) { missT = eng.Now() }, nil)
 	eng.Run()
-	c.Access(32, false, func() { hitT = eng.Now() }) // same 64B line
+	c.AccessEvent(32, false, func(any) { hitT = eng.Now() }, nil) // same 64B line
 	start := missT
 	eng.Run()
 	if missT < 104 {
@@ -63,9 +63,9 @@ func TestMissThenHitLatency(t *testing.T) {
 func TestMSHRMergesConcurrentMisses(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	done := 0
-	c.Access(0, false, func() { done++ })
-	c.Access(8, false, func() { done++ })  // same line, in flight
-	c.Access(48, false, func() { done++ }) // same line
+	c.AccessEvent(0, false, func(any) { done++ }, nil)
+	c.AccessEvent(8, false, func(any) { done++ }, nil)  // same line, in flight
+	c.AccessEvent(48, false, func(any) { done++ }, nil) // same line
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
@@ -81,11 +81,11 @@ func TestMSHRMergesConcurrentMisses(t *testing.T) {
 func TestWritebackOnDirtyEviction(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	// 1024B/64B = 16 lines, 2 ways → 8 sets. Lines 0, 8, 16 (×64B) share set 0.
-	c.Access(0, true, func() {}) // dirty
+	c.AccessEvent(0, true, nop, nil) // dirty
 	eng.Run()
-	c.Access(8*64, false, func() {})
+	c.AccessEvent(8*64, false, nop, nil)
 	eng.Run()
-	c.Access(16*64, false, func() {}) // evicts line 0 (LRU, dirty)
+	c.AccessEvent(16*64, false, nop, nil) // evicts line 0 (LRU, dirty)
 	eng.Run()
 	if mem.writes != 1 {
 		t.Errorf("parent writes = %d, want 1 writeback", mem.writes)
@@ -100,11 +100,11 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	eng, c, mem := newDUT(t)
-	c.Access(0, false, func() {})
+	c.AccessEvent(0, false, nop, nil)
 	eng.Run()
-	c.Access(8*64, false, func() {})
+	c.AccessEvent(8*64, false, nop, nil)
 	eng.Run()
-	c.Access(16*64, false, func() {})
+	c.AccessEvent(16*64, false, nop, nil)
 	eng.Run()
 	if mem.writes != 0 {
 		t.Errorf("clean eviction wrote back %d times", mem.writes)
@@ -113,14 +113,14 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 
 func TestLRUWithinSet(t *testing.T) {
 	eng, c, _ := newDUT(t)
-	c.Access(0, false, func() {})
+	c.AccessEvent(0, false, nop, nil)
 	eng.Run()
-	c.Access(8*64, false, func() {})
+	c.AccessEvent(8*64, false, nop, nil)
 	eng.Run()
 	// Touch line 0 again: line 8*64 is now LRU.
-	c.Access(0, false, func() {})
+	c.AccessEvent(0, false, nop, nil)
 	eng.Run()
-	c.Access(16*64, false, func() {})
+	c.AccessEvent(16*64, false, nop, nil)
 	eng.Run()
 	if !c.Contains(0) {
 		t.Error("MRU line evicted")
@@ -132,8 +132,8 @@ func TestLRUWithinSet(t *testing.T) {
 
 func TestFlushWritesBackDirty(t *testing.T) {
 	eng, c, mem := newDUT(t)
-	c.Access(0, true, func() {})
-	c.Access(64, false, func() {})
+	c.AccessEvent(0, true, nop, nil)
+	c.AccessEvent(64, false, nop, nil)
 	eng.Run()
 	c.Flush()
 	eng.Run()
@@ -148,12 +148,12 @@ func TestFlushWritesBackDirty(t *testing.T) {
 func TestPortSerializesAccesses(t *testing.T) {
 	eng, c, _ := newDUT(t)
 	// Warm two lines.
-	c.Access(0, false, func() {})
-	c.Access(64, false, func() {})
+	c.AccessEvent(0, false, nop, nil)
+	c.AccessEvent(64, false, nop, nil)
 	eng.Run()
 	var t1, t2 sim.Time
-	c.Access(0, false, func() { t1 = eng.Now() })
-	c.Access(64, false, func() { t2 = eng.Now() })
+	c.AccessEvent(0, false, func(any) { t1 = eng.Now() }, nil)
+	c.AccessEvent(64, false, func(any) { t2 = eng.Now() }, nil)
 	eng.Run()
 	if t2 != t1+1 {
 		t.Errorf("port interval not respected: %d then %d", t1, t2)
@@ -167,20 +167,20 @@ func TestHierarchyComposition(t *testing.T) {
 	l1 := New(eng, Config{Name: "l1", SizeBytes: 512, LineBytes: 64, Ways: 2, HitLatency: 4, PortInterval: 1}, l2)
 
 	var coldT sim.Time
-	l1.Access(0, false, func() { coldT = eng.Now() })
+	l1.AccessEvent(0, false, func(any) { coldT = eng.Now() }, nil)
 	eng.Run()
 	if coldT < 224 {
 		t.Errorf("cold access = %d, want ≥ 4+20+200", coldT)
 	}
 	// Evict from L1 (512B/64 = 8 lines, 2 ways → 4 sets; 0, 256, 512 share set 0).
-	l1.Access(256, false, func() {})
+	l1.AccessEvent(256, false, nop, nil)
 	eng.Run()
-	l1.Access(512, false, func() {})
+	l1.AccessEvent(512, false, nop, nil)
 	eng.Run()
 	// Line 0 gone from L1 but still in L2: medium latency.
 	start := eng.Now()
 	var warmT sim.Time
-	l1.Access(0, false, func() { warmT = eng.Now() })
+	l1.AccessEvent(0, false, func(any) { warmT = eng.Now() }, nil)
 	eng.Run()
 	lat := warmT - start
 	if lat < 24 || lat >= 200 {
@@ -227,7 +227,7 @@ func TestHashedSetsRetainLines(t *testing.T) {
 	// Strided addresses that would all collide under modulo indexing.
 	for i := 0; i < 64; i++ {
 		addr := vm.PA(i * 4096 * 8)
-		c.Access(addr, false, func() {})
+		c.AccessEvent(addr, false, nop, nil)
 		eng.Run()
 		if !c.Contains(addr) {
 			t.Fatalf("line %d lost immediately after fill", i)
@@ -246,19 +246,6 @@ func TestHashedSetsRetainLines(t *testing.T) {
 	}
 }
 
-// eventMem is a fixed-latency EventMemory: completions are scheduled
-// handler/ctx pairs, so it adds no allocations of its own.
-type eventMem struct {
-	eng     *sim.Engine
-	latency sim.Time
-}
-
-func (m *eventMem) Access(addr vm.PA, write bool, done func()) { m.eng.After(m.latency, done) }
-
-func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
-	m.eng.AfterEvent(m.latency, h, ctx)
-}
-
 func countDone(ctx any) { *ctx.(*int)++ }
 
 // TestAccessEventZeroAllocs guards AccessEvent's steady state: once the
@@ -269,7 +256,7 @@ func TestAccessEventZeroAllocs(t *testing.T) {
 	c := New(eng, Config{
 		Name: "l2", SizeBytes: 4096, LineBytes: 64, Ways: 4,
 		HitLatency: 4, PortInterval: 1,
-	}, &eventMem{eng: eng, latency: 100})
+	}, &fakeMem{eng: eng, latency: 100})
 	done := 0
 	ctx := any(&done)
 	const lines = 128 // twice the capacity: every line misses and evicts

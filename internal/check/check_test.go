@@ -16,7 +16,7 @@ import (
 // instantMem satisfies cache.Memory for ducati fills in tests.
 type instantMem struct{}
 
-func (instantMem) Access(_ vm.PA, _ bool, done func()) { done() }
+func (instantMem) AccessEvent(_ vm.PA, _ bool, h sim.Handler, ctx any) { h(ctx) }
 
 func space1() vm.SpaceID { return vm.SpaceID{VMID: 1} }
 

@@ -136,18 +136,8 @@ func (d *DRAM) decode(addr vm.PA) (channel, bankIdx int, row uint64) {
 	return
 }
 
-// Access services a read or write of the line containing addr and calls
-// done at completion time.
-func (d *DRAM) Access(addr vm.PA, write bool, done func()) {
-	d.AccessEvent(addr, write, callClosure, done)
-}
-
-// callClosure adapts the closure-style Access API onto the handler
-// form: the func value rides in the ctx word.
-func callClosure(ctx any) { ctx.(func())() }
-
-// AccessEvent is the allocation-free form of Access (cache.EventMemory):
-// h(ctx) runs at completion time.
+// AccessEvent services a read or write of the line containing addr
+// (cache.Memory): h(ctx) runs at completion time.
 func (d *DRAM) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	channel, bi, row := d.decode(addr)
 	b := &d.banks[bi]

@@ -18,7 +18,7 @@ func newDUT() (*sim.Engine, *DRAM) {
 func TestRowBufferHitFasterThanMiss(t *testing.T) {
 	eng, d := newDUT()
 	var firstDone, secondDone sim.Time
-	d.Access(0, false, func() { firstDone = eng.Now() })
+	d.AccessEvent(0, false, func(any) { firstDone = eng.Now() }, nil)
 	eng.Run()
 	missLatency := firstDone
 
@@ -29,7 +29,7 @@ func TestRowBufferHitFasterThanMiss(t *testing.T) {
 	if ch0 != ch1 || b0 != b1 || r0 != r1 {
 		t.Fatalf("expected same channel/bank/row: %d/%d/%d vs %d/%d/%d", ch0, b0, r0, ch1, b1, r1)
 	}
-	d.Access(4096, false, func() { secondDone = eng.Now() })
+	d.AccessEvent(4096, false, func(any) { secondDone = eng.Now() }, nil)
 	eng.Run()
 	hitLatency := secondDone - firstDone
 	if hitLatency >= missLatency {
@@ -69,8 +69,8 @@ func TestBankConflictSerializes(t *testing.T) {
 		t.Fatalf("test addresses malformed: %d/%d/%d vs %d/%d/%d", ch1, b1, r1, ch2, b2, r2)
 	}
 	var t1, t2 sim.Time
-	d.Access(a1, false, func() { t1 = eng.Now() })
-	d.Access(a2, false, func() { t2 = eng.Now() })
+	d.AccessEvent(a1, false, func(any) { t1 = eng.Now() }, nil)
+	d.AccessEvent(a2, false, func(any) { t2 = eng.Now() }, nil)
 	eng.Run()
 	// Second access must wait for the first plus a precharge.
 	if t2 <= t1 {
@@ -92,8 +92,8 @@ func TestParallelBanksOverlap(t *testing.T) {
 		t.Fatal("addresses map to same bank")
 	}
 	var t1, t2 sim.Time
-	d.Access(a1, false, func() { t1 = eng.Now() })
-	d.Access(a2, false, func() { t2 = eng.Now() })
+	d.AccessEvent(a1, false, func(any) { t1 = eng.Now() }, nil)
+	d.AccessEvent(a2, false, func(any) { t2 = eng.Now() }, nil)
 	eng.Run()
 	// Bank access overlaps; only the bus burst serializes them.
 	if t2-t1 > DefaultConfig().TBurst {
@@ -103,8 +103,8 @@ func TestParallelBanksOverlap(t *testing.T) {
 
 func TestEnergyAccounting(t *testing.T) {
 	eng, d := newDUT()
-	d.Access(0, false, func() {})
-	d.Access(0, true, func() {})
+	d.AccessEvent(0, false, func(any) {}, nil)
+	d.AccessEvent(0, true, func(any) {}, nil)
 	eng.Run()
 	s := d.Stats()
 	if s.Reads != 1 || s.Writes != 1 {
@@ -126,7 +126,7 @@ func TestEnergyAccounting(t *testing.T) {
 func TestRowHitRate(t *testing.T) {
 	eng, d := newDUT()
 	for i := 0; i < 10; i++ {
-		d.Access(0, false, func() {})
+		d.AccessEvent(0, false, func(any) {}, nil)
 		eng.Run()
 	}
 	if hr := d.Stats().RowHitRate(); hr < 0.89 || hr > 0.91 {
@@ -151,7 +151,7 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestBusUtilization(t *testing.T) {
 	eng, d := newDUT()
 	for i := 0; i < 8; i++ {
-		d.Access(vm.PA(i*64), false, func() {})
+		d.AccessEvent(vm.PA(i*64), false, func(any) {}, nil)
 	}
 	eng.Run()
 	utils := d.BusUtilization(eng.Now())

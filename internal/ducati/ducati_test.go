@@ -14,13 +14,13 @@ type fakeMem struct {
 	writes int
 }
 
-func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
+func (m *fakeMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	if write {
 		m.writes++
 	} else {
 		m.reads++
 	}
-	m.eng.After(40, done)
+	m.eng.AfterEvent(40, h, ctx)
 }
 
 var space = vm.SpaceID{VMID: 1}

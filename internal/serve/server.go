@@ -49,14 +49,11 @@ type Config struct {
 	// RetryAfter is the hint returned with 429/503 responses
 	// (default 2s).
 	RetryAfter time.Duration
-	// Sleep and RunFn are test seams, forwarded to the engine.
+	// Sleep and RunFn are test seams, forwarded to the engine. Runs
+	// always execute on the in-process pool; RunFn only replaces the
+	// simulation a pool worker calls.
 	Sleep func(time.Duration)
 	RunFn func(sweep.Run) (sweep.RunResult, error)
-	// ExtraMetrics, when set, is invoked on every Metrics snapshot so
-	// the executor behind RunFn (e.g. a shard.Supervisor) can overlay
-	// its own gauges — per-worker utilization, dispatch queue depth,
-	// restart counts — on the same /metrics surface.
-	ExtraMetrics func(*metrics.Registry)
 }
 
 // Server is the campaign service: one shared sweep.Engine, a bounded
@@ -271,9 +268,6 @@ func (s *Server) Metrics() *metrics.Registry {
 	s.metrics.Set("inflight_runs", float64(ctr.InFlight))
 	s.metrics.Set("engine_submitted", float64(ctr.Submitted))
 	s.metrics.Set("draining", boolGauge(draining))
-	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(s.metrics)
-	}
 	return s.metrics
 }
 

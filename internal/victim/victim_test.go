@@ -17,9 +17,9 @@ type fakeMem struct {
 	accesses int
 }
 
-func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
+func (m *fakeMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.accesses++
-	m.eng.After(50, done)
+	m.eng.AfterEvent(50, h, ctx)
 }
 
 type harness struct {

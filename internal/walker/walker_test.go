@@ -15,9 +15,9 @@ type countingMem struct {
 	reads   int
 }
 
-func (m *countingMem) Access(addr vm.PA, write bool, done func()) {
+func (m *countingMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.reads++
-	m.eng.After(m.latency, done)
+	m.eng.AfterEvent(m.latency, h, ctx)
 }
 
 func setup(t *testing.T, cfg Config) (*sim.Engine, *IOMMU, *vm.AddrSpace, *countingMem) {
@@ -281,23 +281,6 @@ func TestDeviceL1FilledFromL2(t *testing.T) {
 	}
 }
 
-// eventMem is a fixed-latency memory in the allocation-free event
-// form, as the production cache hierarchy is.
-type eventMem struct {
-	eng     *sim.Engine
-	latency sim.Time
-	reads   int
-}
-
-func (m *eventMem) Access(addr vm.PA, write bool, done func()) {
-	m.AccessEvent(addr, write, func(any) { done() }, nil)
-}
-
-func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
-	m.reads++
-	m.eng.AfterEvent(m.latency, h, ctx)
-}
-
 // TestTranslateWalkZeroAllocs guards the whole detailed miss path once
 // warm: every translation misses both device TLBs and all three
 // page-walk caches, so it queues for a walker, walks all four levels
@@ -308,7 +291,7 @@ func TestTranslateWalkZeroAllocs(t *testing.T) {
 	cfg.L1Entries, cfg.L2Entries = 4, 8
 	cfg.NumWalkers = 4 // fewer walkers than pages: the queue is exercised
 	eng := sim.NewEngine()
-	mem := &eventMem{eng: eng, latency: 50}
+	mem := &countingMem{eng: eng, latency: 50}
 	io := New(eng, cfg, mem)
 	space := vm.NewAddrSpace(vm.SpaceID{}, vm.NewFrameAllocator(16<<30), vm.Page4K)
 
