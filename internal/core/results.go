@@ -45,8 +45,8 @@ type Results struct {
 	// Structure utilization (Figs 4, 5, 11, 15).
 	ICUtilSamples  []float64
 	LDSReqBytes    sim.Summary
-	ICPortIdle     sim.Summary
-	LDSPortIdle    sim.Summary
+	ICPortIdle     sim.Summary // idle cycles between grants at I-cache 0's port (Fig 5b)
+	LDSPortIdle    sim.Summary // idle cycles between grants at LDS 0's port (Fig 4b)
 	PeakTxResident int
 	FreeTxCapacity int
 
@@ -142,6 +142,8 @@ func (s *System) collect(app string, cycles sim.Time) Results {
 		shared /= float64(len(s.SharedSamples))
 	}
 
+	// NewSystem arms idle-gap measurement on exactly the two ports
+	// read below (I-cache 0, LDS 0); keep the two sites in step.
 	r := Results{
 		App:                  app,
 		Scheme:               s.Cfg.Scheme.Name,

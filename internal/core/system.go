@@ -132,6 +132,12 @@ func NewSystem(cfg Config) *System {
 		s.CUs = append(s.CUs, gpu.NewCU(eng, i, cfg.GPU, ldsUnit, ic, s.L2C, l1d, xlat))
 	}
 
+	// Figs 5b and 4b report the idle gaps of I-cache 0 and LDS 0, the
+	// only port distributions Results reads; the other ports skip the
+	// per-grant recording. Keep these two in step with Results.
+	s.ICaches[0].Port().MeasureIdle()
+	s.LDSs[0].Port().MeasureIdle()
+
 	s.GPU = gpu.NewSystem(eng, cfg.GPU, s.CUs, s.Space, s.Frames)
 	s.GPU.OnKernelBoundary = func(next *gpu.Kernel) { s.sample(next.Name) }
 	s.GPU.Guard = cfg.Watchdog

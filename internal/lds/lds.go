@@ -145,8 +145,12 @@ func New(eng *sim.Engine, cfg Config) *LDS {
 	}
 	n := cfg.SizeBytes / cfg.SegmentBytes
 	l := &LDS{cfg: cfg, eng: eng, port: sim.NewPort(eng, cfg.PortInterval), segments: make([]segment, n)}
+	// The segments are already zero (Free, no translations): set only
+	// the tag group, in place, rather than building and copying a whole
+	// segment per index.
+	tags := bdc.NewGroup(ways, 16, 16)
 	for i := range l.segments {
-		l.segments[i] = segment{tags: bdc.NewGroup(ways, 16, 16)}
+		l.segments[i].tags = tags
 	}
 	return l
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // warmEngine grows the engine's only growable storage so steady-state
@@ -65,6 +67,28 @@ func TestPoolReuseZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestUnmeasuredPortDoesNotAllocate: a port nobody called MeasureIdle
+// on records no idle gaps, so its grants never touch the allocator. A
+// recording port fills a reservoir of gapsCap samples (256 KiB) within
+// these grants and leaves the garbage of every doubling behind, which
+// a warm-port AllocsPerRun check would miss once the reservoir is full.
+func TestUnmeasuredPortDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	p := NewPort(e, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 40_000; i++ {
+		p.Acquire()
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<10 {
+		t.Fatalf("40,000 grants on an unmeasured port allocated %d bytes; want < 1 KiB", d)
+	}
+	if p.IdleGaps() != nil {
+		t.Fatal("unmeasured port has an idle-gap distribution")
+	}
+}
+
 // BenchmarkEngineAtEvent: schedule+run near-future events (the bucket
 // fast path) — the shape of almost all simulator traffic.
 func BenchmarkEngineAtEvent(b *testing.B) {
@@ -116,4 +140,37 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 		}
 		e.Run()
 	}
+}
+
+// BenchmarkEngineRunGuarded: a sparse program under the watchdog loop
+// every production run uses. Four self-rearming chains fire every few
+// hundred cycles and one hop in eight goes past the calendar window, so
+// nearly every step drains a cycle and scans for the next event time.
+func BenchmarkEngineRunGuarded(b *testing.B) {
+	e := NewEngine()
+	left := b.N
+	var tick Handler
+	tick = func(any) {
+		left--
+		if left <= 0 {
+			return
+		}
+		d := Time(200 + left%7*50)
+		if left%8 == 0 {
+			d += calWindow
+		}
+		e.AfterEvent(d, tick, nil)
+	}
+	warmEngine(e, func(any) {})
+	for i := 0; i < 4; i++ {
+		e.AfterEvent(Time(1+i*97), tick, nil)
+	}
+	start := e.EventsRun()
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := time.Now()
+	if err := e.RunGuarded(GuardConfig{NoProgressEvents: 5_000_000}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(e.EventsRun()-start), "ns/event")
 }

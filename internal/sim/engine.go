@@ -61,8 +61,8 @@ const (
 )
 
 // calSlot is one calendar event, or a free slot. Bucket order is
-// append order; see Step for why that alone reproduces the (at, seq)
-// total order.
+// append order; the Engine determinism contract explains why that
+// alone reproduces the (at, seq) total order.
 type calSlot struct {
 	h   Handler
 	ctx any
@@ -99,7 +99,7 @@ func heapLess(a, b heapEvent) bool {
 //     misordered: an event lands in the heap only while now ≤ t-calWindow
 //     and in the bucket only while now > t-calWindow, and now is
 //     monotone — so every heap event for t was scheduled before every
-//     bucket event for t. Step drains heap events at t first.
+//     bucket event for t. dispatchAt drains heap events at t first.
 //   - Handlers running at cycle t can only add same-cycle events to t's
 //     bucket (t-now = 0 < calWindow), never to the heap, so the
 //     heap-first rule stays valid while t's bucket drains.
@@ -214,28 +214,30 @@ func (e *Engine) calPop(bi int) (Handler, any) {
 // Step runs the next event, advancing the clock to its time.
 // It reports whether an event was run.
 func (e *Engine) Step() bool {
-	for {
-		// Heap events for the current cycle first: they were scheduled
-		// before any bucket event for this cycle (see the determinism
-		// contract above).
-		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			ev := e.heapPop()
-			e.events++
-			ev.h(ev.ctx)
-			return true
-		}
-		if ci := int(e.now % calWindow); e.buckets[ci] != 0 {
-			h, ctx := e.calPop(ci)
-			e.events++
-			h(ctx)
-			return true
-		}
-		t, ok := e.nextEventTime()
-		if !ok {
-			return false
-		}
-		e.now = t
+	t, ok := e.peekTime()
+	if !ok {
+		return false
 	}
+	e.dispatchAt(t)
+	return true
+}
+
+// dispatchAt advances the clock to t, which must be the time peekTime
+// just returned, and runs the first event due then. Heap events for t
+// go first: they were scheduled before any bucket event for t (see the
+// determinism contract above). Every run loop dispatches through here,
+// so a loop that has already peeked the next time pays for one
+// next-event scan per step, not two.
+func (e *Engine) dispatchAt(t Time) {
+	e.now = t
+	e.events++
+	if len(e.heap) > 0 && e.heap[0].at == t {
+		ev := e.heapPop()
+		ev.h(ev.ctx)
+		return
+	}
+	h, ctx := e.calPop(int(t % calWindow))
+	h(ctx)
 }
 
 // nextEventTime returns the earliest pending event time strictly after
@@ -310,7 +312,7 @@ func (e *Engine) RunUntil(limit Time) {
 		if t > limit {
 			return
 		}
-		e.Step()
+		e.dispatchAt(t)
 	}
 }
 

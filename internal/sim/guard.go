@@ -158,7 +158,7 @@ func (e *Engine) RunGuarded(g GuardConfig) error {
 		if g.MaxCycles > 0 && next > g.MaxCycles {
 			return e.watchdogErr("cycle horizon %d exceeded (next event at %d)", g.MaxCycles, next)
 		}
-		e.Step()
+		e.dispatchAt(next)
 		if e.now != lastNow {
 			lastNow = e.now
 			sameCycle = 0

@@ -131,21 +131,32 @@ func TestRunGuardedEventBudget(t *testing.T) {
 	}
 }
 
+// TestRunGuardedCycleHorizon: the horizon trips before the clock moves
+// to the offending event, so the snapshot shows the cycle of the last
+// event run, whether the pending one sits in the calendar or the heap.
 func TestRunGuardedCycleHorizon(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(10_000, func() { ran++ })
-	err := e.RunGuarded(GuardConfig{MaxCycles: 100})
-	var se *SimError
-	if !errors.As(err, &se) || se.Kind != ErrWatchdog {
-		t.Fatalf("cycle horizon not enforced: %v", err)
-	}
-	if ran != 1 {
-		t.Errorf("ran %d events, want 1 (the pre-horizon one)", ran)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("the post-horizon event should stay queued, pending=%d", e.Pending())
+	for _, later := range []Time{10_000, 10_000 + CalendarWindow} {
+		e := NewEngine()
+		ran := 0
+		e.At(10, func() { ran++ })
+		e.At(later, func() { ran++ })
+		err := e.RunGuarded(GuardConfig{MaxCycles: 100})
+		var se *SimError
+		if !errors.As(err, &se) || se.Kind != ErrWatchdog {
+			t.Fatalf("later=%d: cycle horizon not enforced: %v", later, err)
+		}
+		if ran != 1 {
+			t.Errorf("later=%d: ran %d events, want 1 (the pre-horizon one)", later, ran)
+		}
+		if e.Pending() != 1 {
+			t.Errorf("later=%d: the post-horizon event should stay queued, pending=%d", later, e.Pending())
+		}
+		if q := se.Queue; q.Now != 10 || q.EventsRun != 1 || len(q.NextTimes) != 1 || q.NextTimes[0] != later {
+			t.Errorf("later=%d: snapshot %+v, want now=10 after 1 event, next [%d]", later, q, later)
+		}
+		if e.Now() != 10 {
+			t.Errorf("later=%d: clock %d after the trip, want 10", later, e.Now())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -182,6 +183,30 @@ func compareLogs(t *testing.T, seed int64, got, want []execRecord) {
 	}
 }
 
+// neverTrips arms every RunGuarded check with a limit no test program
+// reaches, so the guarded loop (the one production runs use) drains the
+// queue through its own peek-then-dispatch path.
+var neverTrips = GuardConfig{MaxEvents: 1 << 40, MaxCycles: 1 << 50, NoProgressEvents: 1 << 30}
+
+// drainMode is one way to run a queue to empty.
+type drainMode struct {
+	name  string
+	drain func(t *testing.T, e *Engine) func()
+}
+
+// fullDrains lists the run loops that drain a whole queue: Run steps,
+// and RunGuarded dispatches the time it has already peeked.
+var fullDrains = []drainMode{
+	{"Run", func(_ *testing.T, e *Engine) func() { return e.Run }},
+	{"RunGuarded", func(t *testing.T, e *Engine) func() {
+		return func() {
+			if err := e.RunGuarded(neverTrips); err != nil {
+				t.Fatalf("RunGuarded tripped: %v", err)
+			}
+		}
+	}},
+}
+
 // TestQueueMatchesHeapOracle: full-drain runs under randomized seeded
 // workloads must dequeue in exactly the oracle's (at, seq) order.
 func TestQueueMatchesHeapOracle(t *testing.T) {
@@ -189,18 +214,21 @@ func TestQueueMatchesHeapOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		roots := makeRoots(rng)
 
-		eng := NewEngine()
-		got := runProgram(eng, roots, seed, 4000, mixedOffset, eng.Run)
-
 		ora := &oracleEngine{}
 		want := runProgram(ora, roots, seed, 4000, mixedOffset, ora.Run)
 
-		compareLogs(t, seed, got, want)
-		if eng.Now() != ora.Now() {
-			t.Fatalf("seed %d: final clock %d, oracle %d", seed, eng.Now(), ora.Now())
-		}
-		if eng.Pending() != 0 {
-			t.Fatalf("seed %d: %d events left pending after Run", seed, eng.Pending())
+		for _, d := range fullDrains {
+			t.Run(fmt.Sprintf("%s/seed=%d", d.name, seed), func(t *testing.T) {
+				eng := NewEngine()
+				got := runProgram(eng, roots, seed, 4000, mixedOffset, d.drain(t, eng))
+				compareLogs(t, seed, got, want)
+				if eng.Now() != ora.Now() {
+					t.Fatalf("seed %d: final clock %d, oracle %d", seed, eng.Now(), ora.Now())
+				}
+				if eng.Pending() != 0 {
+					t.Fatalf("seed %d: %d events left pending", seed, eng.Pending())
+				}
+			})
 		}
 	}
 }
@@ -269,15 +297,19 @@ func TestQueueMatchesOracleAtWindowEdges(t *testing.T) {
 				limits = append(limits, i*CalendarWindow/2+Time(rng.Intn(3))-1)
 			}
 
-			eng := NewEngine()
-			got := runProgram(eng, roots, seed, 3000, o.offset, eng.Run)
 			ora := &oracleEngine{}
 			want := runProgram(ora, roots, seed, 3000, o.offset, ora.Run)
-			compareLogs(t, seed, got, want)
+			for _, d := range fullDrains {
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", o.name, d.name, seed), func(t *testing.T) {
+					eng := NewEngine()
+					got := runProgram(eng, roots, seed, 3000, o.offset, d.drain(t, eng))
+					compareLogs(t, seed, got, want)
+				})
+			}
 
-			eng = NewEngine()
+			eng := NewEngine()
 			var clocks []Time
-			got = runProgram(eng, roots, seed, 3000, o.offset, func() {
+			got := runProgram(eng, roots, seed, 3000, o.offset, func() {
 				for _, lim := range limits {
 					eng.RunUntil(lim)
 					clocks = append(clocks, eng.Now())

@@ -3,9 +3,10 @@ package sim
 // Port models a pipelined hardware port: one new operation may begin
 // every Interval cycles. Acquire returns the cycle at which the requested
 // operation is granted the port; the caller adds its own access latency
-// on top. Ports also record the idle-gap distribution between grants,
-// which is exactly the measurement behind the paper's Figures 4b and 5b
-// (idle cycles at each LDS / I-cache port).
+// on top. Every port counts its grants (Utilization). A port records the
+// distribution of idle cycles between grants — the measurement behind
+// the paper's Figures 4b and 5b — only after MeasureIdle, so the many
+// ports whose gaps nothing reads pay nothing for them.
 type Port struct {
 	eng *Engine
 	// Interval is the initiation interval in cycles (1 = fully pipelined,
@@ -15,7 +16,7 @@ type Port struct {
 	nextFree  Time
 	lastGrant Time
 	grants    uint64
-	idle      *Gaps
+	idle      *Gaps // nil unless MeasureIdle armed the port
 }
 
 // NewPort creates a port on engine eng with the given initiation
@@ -25,43 +26,39 @@ func NewPort(eng *Engine, interval Time) *Port {
 	if interval == 0 {
 		interval = 1
 	}
-	p := &Port{eng: eng, Interval: interval, idle: NewGaps()}
+	p := &Port{eng: eng, Interval: interval}
 	eng.ports = append(eng.ports, p)
 	return p
+}
+
+// MeasureIdle makes the port record its idle-gap distribution from the
+// next grant on (see IdleGaps). Call it before the first grant to
+// measure the whole run. Calling it again is a no-op.
+func (p *Port) MeasureIdle() {
+	if p.idle == nil {
+		p.idle = NewGaps()
+	}
 }
 
 // Acquire reserves the next port slot at or after the current cycle and
 // returns the grant time. Consecutive acquisitions are serialized
 // Interval cycles apart.
-func (p *Port) Acquire() Time {
-	now := p.eng.Now()
-	grant := now
-	if p.nextFree > grant {
-		grant = p.nextFree
-	}
-	p.nextFree = grant + p.Interval
-	if p.grants > 0 && grant > p.lastGrant {
-		p.idle.Record(uint64(grant - p.lastGrant - p.Interval + 1))
-	}
-	p.lastGrant = grant
-	p.grants++
-	return grant
-}
+func (p *Port) Acquire() Time { return p.AcquireAt(p.eng.Now()) }
 
-// AcquireAt reserves a slot at or after time t (which must not be in the
-// past) and returns the grant time. This lets a component chain port
-// acquisitions along a multi-stage path without scheduling intermediate
-// events.
+// AcquireAt reserves a slot at or after time t (clamped to the current
+// cycle if it lies in the past) and returns the grant time. This lets a
+// component chain port acquisitions along a multi-stage path without
+// scheduling intermediate events.
 func (p *Port) AcquireAt(t Time) Time {
-	if t < p.eng.Now() {
-		t = p.eng.Now()
+	if now := p.eng.Now(); t < now {
+		t = now
 	}
 	grant := t
 	if p.nextFree > grant {
 		grant = p.nextFree
 	}
 	p.nextFree = grant + p.Interval
-	if p.grants > 0 && grant > p.lastGrant {
+	if p.idle != nil && p.grants > 0 && grant > p.lastGrant {
 		p.idle.Record(uint64(grant - p.lastGrant - p.Interval + 1))
 	}
 	p.lastGrant = grant
@@ -89,7 +86,7 @@ func (p *Port) Relax() {
 	}
 	// Rewrite history as "the last grant finished just in time": the
 	// invariant nextFree == lastGrant + Interval must survive, because
-	// the idle-gap arithmetic in Acquire is unsigned and assumes every
+	// the idle-gap arithmetic in AcquireAt is unsigned and assumes every
 	// grant lands at least Interval cycles after the previous one.
 	if now >= p.Interval {
 		p.nextFree = now
@@ -116,7 +113,7 @@ func (e *Engine) RelaxPorts() {
 func (p *Port) Grants() uint64 { return p.grants }
 
 // IdleGaps returns the recorded distribution of idle cycles between
-// consecutive grants.
+// consecutive grants, or nil if MeasureIdle was never called.
 func (p *Port) IdleGaps() *Gaps { return p.idle }
 
 // Utilization returns grants*Interval / elapsed, the fraction of cycles
